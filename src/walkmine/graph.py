@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitset import VertexSet, iter_bits
+from .bitset import VertexSet, iter_bits, mask_of
 
 CATEGORICAL = "categorical"
 ORDERED = "ordered"
@@ -130,6 +130,8 @@ class DirectedGraph:
         if self._vectorised:
             self._src = np.fromiter((s for s, _ in uniq), dtype=np.int64, count=len(uniq))
             self._dst = np.fromiter((d for _, d in uniq), dtype=np.int64, count=len(uniq))
+            # uniq is sorted by source, so v's out-edges are _dst[_ptr[v]:_ptr[v + 1]]
+            self._ptr = np.searchsorted(self._src, np.arange(n + 1)).tolist()
             self._out_masks = None
             self._in_masks = None
         else:
@@ -227,6 +229,10 @@ class DirectedGraph:
     def color_class(self, cid: int) -> VertexSet:
         return VertexSet(self.n, self.color_mask(cid))
 
+    def colors_in(self, mask: int) -> list[int]:
+        """Ids of the colours held by some vertex of ``mask``, ascending."""
+        return [c for c in range(self.num_colors) if mask & self.color_mask(c)]
+
     # -- raw mask images ----------------------------------------------------
 
     def _np_image(self, mask: int, src: np.ndarray, dst: np.ndarray) -> int:
@@ -260,7 +266,7 @@ class DirectedGraph:
 
     def out_mask(self, v: int) -> int:
         if self._vectorised:
-            return self.out_image(1 << v)
+            return mask_of(self._dst[self._ptr[v] : self._ptr[v + 1]].tolist())
         return self._out_masks[v]
 
 

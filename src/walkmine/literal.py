@@ -1,0 +1,146 @@
+"""The ``literal`` fidelity: uncorrected transcriptions of both backward searches.
+
+Kept for comparison with the repaired searches in :mod:`walkmine.scp` and
+:mod:`walkmine.stp`. Each factory returns a level callback for
+:func:`walkmine.mining.run_levels`. Unlike the repaired searches, a literal
+search does not restart at each length: the states whose suffix reaches
+one viable length are carried into the next viable length's queue and
+extended from there.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from .bitset import iter_bits, mask_of
+from .criterion import separating_program
+from .mining import EXACT, zero_stats
+from .setcover import minimal_covers, pseudo_bases
+
+
+def seed_chains(target: int, mode: str) -> list:
+    """Criterion-search seeds, shared by both fidelities: chains of (B, M, dist)."""
+    if mode == EXACT:
+        return [((target, target, 0),)]
+    return [((1 << v, target, 0),) for v in iter_bits(target)]
+
+
+def _scp_seeds(g, target: int, mode: str) -> list:
+    if mode == EXACT:
+        return [((), target, target)]
+    seeds = []
+    for c in range(g.num_colors):
+        cmask = g.color_mask(c)
+        unsafe = g.in_image(cmask & ~target)
+        starters = g.in_image(cmask & target)
+        for d in range(g.num_colors):
+            safe = g.color_mask(d) & ~unsafe
+            seeds.extend(((c,), 1 << v, safe) for v in iter_bits(safe & starters))
+    return seeds
+
+
+def scp_level(g, source, target, mode):
+    """Uncorrected colour search: pools are per-colour slices of the frontier."""
+    S = source.mask
+    carry = deque(_scp_seeds(g, target.mask, mode))
+
+    def level(length, positions, budget):
+        nonlocal carry
+        stats = zero_stats("scp")
+        found = set()
+        exhausted = True
+        queue, carry = carry, deque()
+        seen = set(queue)
+        while queue:
+            if not budget.charge_triple():
+                exhausted = False
+                break
+            p, B, M = queue.popleft()
+            stats["triples_expanded"] += 1
+            n = len(p)
+            if n == length:
+                first_step = g.out_image(B) & g.color_mask(p[0]) if p else B
+                if B & ~S == 0 and S & ~g.in_image(first_step) == 0 and p not in found:
+                    found.add(p)
+                    budget.charge_program()
+                carry.append((p, B, M))
+                continue
+            pool = positions[length - n - 1] & g.in_image(B)
+            for c in g.colors_in(B):
+                newp = (c,) + p
+                for d in g.colors_in(pool):
+                    nd = pool if length == n + 1 else g.color_mask(d) & pool
+                    for basis in pseudo_bases(g, nd, B, M, c):
+                        stats["pseudo_bases"] += 1
+                        triple = (newp, basis, nd)
+                        if triple in seen:
+                            stats["dedup_hits"] += 1
+                            continue
+                        seen.add(triple)
+                        queue.append(triple)
+        return sorted(found), exhausted, stats
+
+    return level
+
+
+def _strict_filter(g, pool: int, B: int, M: int) -> int:
+    """Uncorrected per-vertex filter: only a vertex's own B-children count."""
+    e_global = g.out_image(pool) & ~M
+    safe = 0
+    for v in iter_bits(pool):
+        out = g.out_mask(v)
+        b_vecs = {g.rows[u] for u in iter_bits(out & B)}
+        if all(g.rows[u] not in b_vecs for u in iter_bits(out & e_global)):
+            safe |= 1 << v
+    return safe
+
+
+def stp_level(g, source, target, mode):
+    """Uncorrected criterion search: in-neighbourhood pools, synthesis afterwards."""
+    S = source.mask
+    carry = deque(seed_chains(target.mask, mode))
+
+    def level(length, positions, budget):
+        nonlocal carry
+        stats = zero_stats("stp")
+        accepted = []
+        exhausted = True
+        queue, carry = carry, deque()
+        while queue:
+            if not budget.charge_triple():
+                exhausted = False
+                break
+            chain = queue.popleft()
+            stats["chains_expanded"] += 1
+            B, M, _ = chain[0]
+            n = len(chain)
+            if n - 1 == length:
+                if B & ~S == 0 and S & ~M == 0:
+                    accepted.append(chain)
+                carry.append(chain)
+                continue
+            pool = _strict_filter(g, g.in_image(B) & positions[length - n], B, M)
+            candidates = []
+            for v in iter_bits(pool):
+                out = g.out_mask(v)
+                if out & ~M == 0:
+                    candidates.append((v, out & B))
+            for ids in minimal_covers(B, candidates):
+                stats["pseudo_bases"] += 1
+                queue.append(((mask_of(ids), pool, n),) + chain)
+        found: dict = {}
+        for chain in accepted:
+            elements = ((B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:])
+            program = separating_program(g, elements)
+            if program is None:
+                stats["inseparable"] += 1
+                continue
+            key = program.key(g)
+            if key in found:
+                stats["dedup_hits"] += 1
+            else:
+                found[key] = program
+                budget.charge_program()
+        return [found[k] for k in sorted(found)], exhausted, stats
+
+    return level

@@ -1,15 +1,28 @@
-"""Shared mining-run plumbing: configuration, budgets, per-length reports."""
+"""Shared mining-run plumbing: configuration, budgets, the per-length driver."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
+from .bitset import VertexSet
 from .graph import DirectedGraph
 
 REPAIRED = "repaired"
 LITERAL = "literal"
+
+EXACT = "exact"
+FEASIBLE = "feasible"
+
+_STATS = {
+    "scp": ("triples_expanded", "pseudo_bases", "dedup_hits"),
+    "stp": ("chains_expanded", "pseudo_bases", "dedup_hits", "inseparable"),
+}
+
+
+def zero_stats(engine: str) -> dict:
+    return dict.fromkeys(_STATS[engine], 0)
 
 
 @dataclass(frozen=True)
@@ -96,3 +109,53 @@ class MiningReport:
             "programs": rendered,
             "stats": dict(self.stats),
         }
+
+
+def _validate_instance(g: DirectedGraph, source: VertexSet, target: VertexSet):
+    if not source or not target:
+        raise ValueError("source and target sets must be nonempty")
+    if source.size != g.n or target.size != g.n:
+        raise ValueError("vertex sets must live in the graph's universe")
+
+
+def run_levels(
+    g: DirectedGraph,
+    source: VertexSet,
+    target: VertexSet,
+    config: MiningConfig,
+    engine: str,
+    mode: str,
+    empty_program,
+    make_level: Callable,
+) -> Iterator[MiningReport]:
+    """One report per length 0..max_len; a level callback searches the viable ones.
+
+    ``make_level(g, source, target, mode)`` returns the callback
+    ``level(length, positions, budget) -> (programs, exhausted, stats)``,
+    where ``positions[j]`` is the set of vertices exactly j steps from the
+    source. A length is viable when the vertices that many steps from the
+    source contain the target (exact mode and the literal fidelity) or meet
+    it (repaired feasible mode). The run stops after the level that trips
+    the budget.
+    """
+    _validate_instance(g, source, target)
+    budget = Budget(config)
+    level = make_level(g, source, target, mode)
+    contain = mode == EXACT or config.fidelity == LITERAL
+    positions = [source.mask]
+    for length in range(config.max_len + 1):
+        if length == 0:
+            ok = source == target if mode == EXACT else source.issubset(target)
+            programs = [empty_program] if ok else []
+            yield MiningReport(engine, mode, 0, programs, True, zero_stats(engine))
+            continue
+        positions.append(g.out_image(positions[-1]))
+        reach = positions[length]
+        viable = target.mask & ~reach == 0 if contain else target.mask & reach != 0
+        if not viable:
+            yield MiningReport(engine, mode, length, [], True, zero_stats(engine))
+            continue
+        programs, exhausted, stats = level(length, positions, budget)
+        yield MiningReport(engine, mode, length, programs, exhausted, stats)
+        if budget.tripped:
+            return

@@ -5,22 +5,22 @@ step moves to all out-neighbours and keeps those of the step's colour. The
 miners search backwards from the target, maintaining triples (suffix, B, M)
 whose meaning is: any start set sandwiched between B and M runs the suffix
 into the target. The default search keeps that invariant exactly; the
-``literal`` fidelity reproduces an uncorrected variant kept for comparison.
+``literal`` fidelity, in :mod:`walkmine.literal`, reproduces an uncorrected
+variant kept for comparison.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from . import literal
 from .bitset import VertexSet, iter_bits
 from .graph import DirectedGraph
-from .mining import LITERAL, Budget, MiningConfig, MiningReport
-from .setcover import minimal_covers
+from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, run_levels, zero_stats
+from .setcover import pseudo_bases
 
-EXACT = "exact"
-FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 COMPLETE_HALT = "complete_halt"
 
@@ -49,23 +49,17 @@ def simulate_scp(g: DirectedGraph, source: VertexSet, program: tuple[int, ...]) 
     return trace
 
 
-def classify_with_masks(
-    g: DirectedGraph, source: VertexSet, target: VertexSet, step_masks: list[int]
-) -> Classification:
+def classify_trace(g: DirectedGraph, trace: list[VertexSet], target: VertexSet) -> Classification:
     """Classification core shared by colour and criterion programs.
 
-    ``step_masks[i]`` is the set of vertices the i-th step may keep.
+    ``trace`` is the endpoint trace E0..En of a run. Step i halts partially
+    when some vertex of E_i has no out-neighbour the step keeps; the step
+    keeps part of E_i's out-image, so the kept vertices are E_{i+1}.
     """
-    trace = [source.mask]
-    cur = source.mask
-    for m in step_masks:
-        cur = g.out_image(cur) & m
-        trace.append(cur)
-    partial = tuple(
-        i for i, m in enumerate(step_masks) if trace[i] & ~g.in_image(m)
-    )
-    halt = next((i for i in range(1, len(trace)) if not trace[i]), None)
-    final = trace[-1]
+    masks = [vs.mask for vs in trace]
+    partial = tuple(i for i in range(len(masks) - 1) if masks[i] & ~g.in_image(masks[i + 1]))
+    halt = next((i for i in range(1, len(masks)) if not masks[i]), None)
+    final = masks[-1]
     if halt is not None:
         kind = COMPLETE_HALT
     elif final == target.mask:
@@ -74,14 +68,13 @@ def classify_with_masks(
         kind = FEASIBLE
     else:
         kind = INFEASIBLE
-    vsets = tuple(VertexSet(g.n, m) for m in trace)
-    return Classification(kind, halt, partial, vsets)
+    return Classification(kind, halt, partial, tuple(trace))
 
 
 def classify_scp(
     g: DirectedGraph, source: VertexSet, target: VertexSet, program: tuple[int, ...]
 ) -> Classification:
-    return classify_with_masks(g, source, target, [g.color_mask(c) for c in program])
+    return classify_trace(g, simulate_scp(g, source, program), target)
 
 
 # -- predicate algebra --------------------------------------------------------
@@ -122,54 +115,22 @@ def enumerate_pseudo_bases(
     """
     if not B:
         raise ValueError("pseudo-bases are defined for nonempty B")
-    cmask = g.color_mask(c)
-    candidates = []
-    for v in pool:
-        img = g.out_mask(v) & cmask
-        if img & ~M.mask == 0:
-            candidates.append((v, img & B.mask))
-    for ids in minimal_covers(B.mask, candidates):
-        yield VertexSet.from_ids(g.n, ids)
+    for mask in pseudo_bases(g, pool.mask, B.mask, M.mask, c):
+        yield VertexSet(g.n, mask)
 
 
 # -- mining -------------------------------------------------------------------
 
 
-def _colors_in(g: DirectedGraph, mask: int) -> list[int]:
-    return [c for c in range(g.num_colors) if mask & g.color_mask(c)]
-
-
 def _mono_color(g: DirectedGraph, mask: int) -> Optional[int]:
     """The single colour shared by every vertex in ``mask``, if any."""
-    present = _colors_in(g, mask)
+    present = g.colors_in(mask)
     if len(present) != 1:
         return None
     c = present[0]
     if mask & ~g.color_mask(c):
         return None  # some member is uncoloured
     return c
-
-
-def _zero_stats() -> dict:
-    return {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
-
-
-@dataclass
-class _LevelState:
-    stats: dict = field(default_factory=_zero_stats)
-    found: set = field(default_factory=set)
-    exhausted: bool = True
-
-
-def _validate_instance(g: DirectedGraph, source: VertexSet, target: VertexSet):
-    if not source or not target:
-        raise ValueError("source and target sets must be nonempty")
-    if source.size != g.n or target.size != g.n:
-        raise ValueError("vertex sets must live in the graph's universe")
-
-
-def _accept_kinds(mode: str) -> tuple[str, ...]:
-    return (EXACT,) if mode == EXACT else (EXACT, FEASIBLE)
 
 
 def mine_exact_scp(g, source, target, config: MiningConfig) -> Iterator[MiningReport]:
@@ -183,195 +144,75 @@ def mine_feasible_scp(g, source, target, config: MiningConfig) -> Iterator[Minin
 
 
 def _mine_scp(g, source, target, config, mode) -> Iterator[MiningReport]:
-    _validate_instance(g, source, target)
-    if config.fidelity == LITERAL:
-        yield from _mine_scp_literal(g, source, target, config, mode)
-        return
-    budget = Budget(config)
-    reach = source.mask
-    for length in range(config.max_len + 1):
-        # reach holds the vertices exactly `length` steps from the source
-        if length == 0:
-            ok = source == target if mode == EXACT else source.issubset(target)
-            yield MiningReport("scp", mode, 0, [()] if ok else [], True, _zero_stats())
-        else:
-            if mode == EXACT:
-                viable = target.mask & ~reach == 0
-            else:
-                viable = target.mask & reach != 0
-            if not viable:
-                yield MiningReport("scp", mode, length, [], True, _zero_stats())
-            else:
-                state = _run_scp_level(g, source, target, length, mode, budget)
-                yield MiningReport(
-                    "scp", mode, length, sorted(state.found), state.exhausted, state.stats
-                )
-                if budget.tripped:
-                    return
-        reach = g.out_image(reach)
+    make_level = literal.scp_level if config.fidelity == LITERAL else _scp_level
+    return run_levels(g, source, target, config, "scp", mode, (), make_level)
 
 
-def _seeds_repaired(g, source, target, mode):
+def _seeds(g, target: int, mode: str) -> list:
+    """Triples (suffix, B, M) the search starts from, as int masks."""
     if mode == EXACT:
         return [((), target, target)]
     seeds = []
+    everything = (1 << g.n) - 1
     for c in range(g.num_colors):
         cmask = g.color_mask(c)
-        safe = 0
-        starters = []
-        for v in range(g.n):
-            img = g.out_mask(v) & cmask
-            if img & ~target.mask == 0:
-                safe |= 1 << v
-                if img:
-                    starters.append(v)
-        for v in starters:
-            seeds.append(((c,), VertexSet.single(g.n, v), VertexSet(g.n, safe)))
+        safe = everything & ~g.in_image(cmask & ~target)
+        starters = safe & g.in_image(cmask & target)
+        seeds.extend(((c,), 1 << v, safe) for v in iter_bits(starters))
     return seeds
 
 
-def _run_scp_level(g, source, target, length, mode, budget) -> _LevelState:
-    state = _LevelState()
-    seeds = _seeds_repaired(g, source, target, mode)
-    queue = deque()
-    seen = set()
-    for p, B, M in seeds:
-        if len(p) > length:
-            continue
-        key = (p, B.mask, M.mask)
-        if key not in seen:
-            seen.add(key)
-            queue.append((p, B, M))
-    # positions[j] = vertices exactly j steps from the source
-    positions = [source.mask]
-    for _ in range(length - 1):
-        positions.append(g.out_image(positions[-1]))
-    inb_cache: dict[int, int] = {}
+def _scp_level(g, source, target, mode):
+    """Repaired colour search: every triple (p, B, M) keeps its invariant."""
+    S = source.mask
+    seeds = _seeds(g, target.mask, mode)
 
-    while queue:
-        if not budget.charge_triple():
-            state.exhausted = False
-            break
-        p, B, M = queue.popleft()
-        state.stats["triples_expanded"] += 1
-        n = len(p)
-        if n == length:
-            if B.mask & ~source.mask == 0 and source.mask & ~M.mask == 0:
-                cls = classify_scp(g, source, target, p)
-                if cls.kind in _accept_kinds(mode) and p not in state.found:
-                    state.found.add(p)
-                    budget.charge_program()
-            continue
-        c = _mono_color(g, B.mask)
-        if c is None:
-            continue
-        cmask = g.color_mask(c)
-        base = positions[length - n - 1]
-        if B.mask not in inb_cache:
-            inb_cache[B.mask] = g.in_image(B.mask)
-        inb = inb_cache[B.mask]
-        if length == n + 1:
-            branches = [base]
-        else:
-            branches = [g.color_mask(d) & base for d in _colors_in(g, base & inb)]
-        newp = (c,) + p
-        for branch in branches:
-            safe = 0
-            for v in iter_bits(branch):
-                if g.out_mask(v) & cmask & ~M.mask == 0:
-                    safe |= 1 << v
-            if not safe:
-                continue
-            new_m = VertexSet(g.n, safe)
-            pool = VertexSet(g.n, safe & inb)
-            for basis in enumerate_pseudo_bases(g, pool, B, M, c):
-                state.stats["pseudo_bases"] += 1
-                key = (newp, basis.mask, safe)
-                if key in seen:
-                    state.stats["dedup_hits"] += 1
-                    continue
-                seen.add(key)
-                queue.append((newp, basis, new_m))
-    return state
-
-
-# -- literal fidelity ---------------------------------------------------------
-
-
-def _seeds_literal(g, target, mode):
-    if mode == EXACT:
-        return [((), target, target)]
-    seeds = []
-    for c in range(g.num_colors):
-        cmask = g.color_mask(c)
-        for d in range(g.num_colors):
-            safe = 0
-            starters = []
-            for v in iter_bits(g.color_mask(d)):
-                img = g.out_mask(v) & cmask
-                if img & ~target.mask == 0:
-                    safe |= 1 << v
-                    if img:
-                        starters.append(v)
-            for v in starters:
-                seeds.append(((c,), VertexSet.single(g.n, v), VertexSet(g.n, safe)))
-    return seeds
-
-
-def _mine_scp_literal(g, source, target, config, mode) -> Iterator[MiningReport]:
-    budget = Budget(config)
-    carry = deque(_seeds_literal(g, target, mode))
-    reach = source.mask
-    for length in range(config.max_len + 1):
-        if length == 0:
-            ok = source == target if mode == EXACT else source.issubset(target)
-            yield MiningReport("scp", mode, 0, [()] if ok else [], True, _zero_stats())
-            reach = g.out_image(reach)
-            continue
-        if target.mask & ~reach != 0:
-            # uncorrected rule: only containment levels run, queue untouched
-            yield MiningReport("scp", mode, length, [], True, _zero_stats())
-            reach = g.out_image(reach)
-            continue
-        state = _LevelState()
-        queue = carry
-        carry = deque()
-        seen = {(p, B.mask, M.mask) for p, B, M in queue}
-        positions = [source.mask]
-        for _ in range(length - 1):
-            positions.append(g.out_image(positions[-1]))
+    def level(length, positions, budget):
+        stats = zero_stats("scp")
+        found = set()
+        exhausted = True
+        queue = deque(seeds)
+        seen = set(seeds)
+        inb_cache: dict[int, int] = {}
         while queue:
             if not budget.charge_triple():
-                state.exhausted = False
+                exhausted = False
                 break
             p, B, M = queue.popleft()
-            state.stats["triples_expanded"] += 1
+            stats["triples_expanded"] += 1
             n = len(p)
             if n == length:
-                first_step = g.out_image(B.mask) & g.color_mask(p[0]) if p else B.mask
-                if B.mask & ~source.mask == 0 and source.mask & ~g.in_image(first_step) == 0:
-                    if p not in state.found:
-                        state.found.add(p)
+                if B & ~S == 0 and S & ~M == 0 and p not in found:
+                    if classify_scp(g, source, target, p).kind in (EXACT, mode):
+                        found.add(p)
                         budget.charge_program()
-                carry.append((p, B, M))
                 continue
-            for c in _colors_in(g, B.mask):
-                pool = positions[length - n - 1] & g.in_image(B.mask)
-                newp = (c,) + p
-                for d in _colors_in(g, pool):
-                    nd = pool if length == n + 1 else g.color_mask(d) & pool
-                    if not nd:
+            c = _mono_color(g, B)
+            if c is None:
+                continue
+            base = positions[length - n - 1]
+            if B not in inb_cache:
+                inb_cache[B] = g.in_image(B)
+            inb = inb_cache[B]
+            if length == n + 1:
+                branches = [base]
+            else:
+                branches = [g.color_mask(d) & base for d in g.colors_in(base & inb)]
+            # vertices whose c-image leaves M
+            unsafe = g.in_image(g.color_mask(c) & ~M)
+            newp = (c,) + p
+            for branch in branches:
+                safe = branch & ~unsafe
+                if not safe:
+                    continue
+                for basis in pseudo_bases(g, safe & inb, B, M, c):
+                    stats["pseudo_bases"] += 1
+                    triple = (newp, basis, safe)
+                    if triple in seen:
+                        stats["dedup_hits"] += 1
                         continue
-                    ndset = VertexSet(g.n, nd)
-                    for basis in enumerate_pseudo_bases(g, ndset, B, M, c):
-                        state.stats["pseudo_bases"] += 1
-                        key = (newp, basis.mask, nd)
-                        if key in seen:
-                            state.stats["dedup_hits"] += 1
-                            continue
-                        seen.add(key)
-                        queue.append((newp, basis, ndset))
-        yield MiningReport("scp", mode, length, sorted(state.found), state.exhausted, state.stats)
-        if budget.tripped:
-            return
-        reach = g.out_image(reach)
+                    seen.add(triple)
+                    queue.append(triple)
+        return sorted(found), exhausted, stats
+
+    return level

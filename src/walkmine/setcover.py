@@ -1,8 +1,11 @@
-"""Enumeration of minimal set covers over bitmask universes."""
+"""Enumeration of minimal set covers over bitmask universes, and the
+pseudo-bases the colour miners draw from them."""
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .bitset import iter_bits, mask_of
 
 
 def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -19,12 +22,8 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
     cands = sorted((vid, img & target_mask) for vid, img in candidates)
     cands = [(vid, img) for vid, img in cands if img]
     results: list[tuple[int, ...]] = []
-    emitted: set[frozenset] = set()
 
     def emit(chosen: list[tuple[int, int]]):
-        key = frozenset(vid for vid, _ in chosen)
-        if key in emitted:
-            return
         # keep only irredundant covers: every member must cover something
         # the others do not
         for i in range(len(chosen)):
@@ -34,8 +33,7 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
                     rest |= img
             if rest & target_mask == target_mask:
                 return
-        emitted.add(key)
-        results.append(tuple(sorted(key)))
+        results.append(tuple(sorted(vid for vid, _ in chosen)))
 
     def search(covered: int, chosen: list, banned: frozenset):
         if covered & target_mask == target_mask:
@@ -53,3 +51,20 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
     search(0, [], frozenset())
     results.sort()
     return results
+
+
+def pseudo_bases(g, pool: int, B: int, M: int, c: int) -> list[int]:
+    """Minimal subsets of ``pool`` whose c-image covers B without leaving M.
+
+    All sets are int masks over the vertices of graph ``g``. Members whose own
+    c-image leaks outside M are excluded up front; the union of per-member
+    images stays in M exactly when each one does. Returned in lexicographic
+    order of sorted member ids.
+    """
+    cmask = g.color_mask(c)
+    candidates = []
+    for v in iter_bits(pool):
+        img = g.out_mask(v) & cmask
+        if img & ~M == 0:
+            candidates.append((v, img & B))
+    return [mask_of(ids) for ids in minimal_covers(B, candidates)]

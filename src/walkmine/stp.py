@@ -6,42 +6,22 @@ phases: a backward search over chains of (B, M, distance) elements from the
 target, then per-chain criterion synthesis that separates each element's B
 from the vertices a run could actually leak to. The default search widens M
 to the whole filtered frontier (mirroring the colour miner's repair); the
-``literal`` fidelity keeps the uncorrected in-neighbourhood pools.
+``literal`` fidelity, in :mod:`walkmine.literal`, keeps the uncorrected
+in-neighbourhood pools.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
-from .bitset import VertexSet, iter_bits
-from .criterion import (
-    Criterion,
-    InseparableError,
-    compute_criterion,
-    criterion_key,
-    criterion_to_dict,
-    satisfies,
-)
-from .graph import DirectedGraph
-from .mining import LITERAL, Budget, MiningConfig, MiningReport
-from .scp import EXACT, FEASIBLE, Classification, classify_with_masks, _validate_instance
+from . import literal
+from .bitset import VertexSet, iter_bits, mask_of
+from .criterion import Criterion, TosetProgram, satisfies, separating_program
+from .graph import DirectedGraph, iterated_out
+from .mining import EXACT, FEASIBLE, LITERAL, Budget, MiningConfig, MiningReport, run_levels, zero_stats
+from .scp import Classification, classify_trace
 from .setcover import minimal_covers
-
-
-@dataclass(frozen=True)
-class TosetProgram:
-    steps: tuple
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def to_dict(self, g: DirectedGraph) -> list:
-        return [criterion_to_dict(c, g.schema) for c in self.steps]
-
-    def key(self, g: DirectedGraph) -> tuple[str, ...]:
-        return tuple(criterion_key(c, g.schema) for c in self.steps)
 
 
 def select_by_criterion(g: DirectedGraph, A: VertexSet, crit: Criterion) -> VertexSet:
@@ -51,17 +31,6 @@ def select_by_criterion(g: DirectedGraph, A: VertexSet, crit: Criterion) -> Vert
         if satisfies(g.rows[v], crit):
             mask |= 1 << v
     return VertexSet(g.n, mask)
-
-
-def _step_masks(g: DirectedGraph, steps: Sequence[Criterion]) -> list[int]:
-    masks = []
-    for crit in steps:
-        m = 0
-        for v in range(g.n):
-            if satisfies(g.rows[v], crit):
-                m |= 1 << v
-        masks.append(m)
-    return masks
 
 
 def _steps_of(program) -> tuple:
@@ -79,7 +48,7 @@ def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet
 
 
 def classify_stp(g: DirectedGraph, source: VertexSet, target: VertexSet, program) -> Classification:
-    return classify_with_masks(g, source, target, _step_masks(g, _steps_of(program)))
+    return classify_trace(g, simulate_stp(g, source, program), target)
 
 
 def consistent(g: DirectedGraph, A: VertexSet, b_side: VertexSet, e_side: VertexSet) -> bool:
@@ -95,11 +64,8 @@ def consistent(g: DirectedGraph, A: VertexSet, b_side: VertexSet, e_side: Vertex
 
 # -- mining -------------------------------------------------------------------
 
-# chain: tuple of (B, M, dist) triples, head first; the tail is at the target
-
-
-def _zero_stats() -> dict:
-    return {"chains_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0, "inseparable": 0}
+# chain: tuple of (B, M, dist) triples, B and M int masks, head first; the
+# tail is at the target
 
 
 def mine_exact_stp(g, source, target, config: MiningConfig) -> Iterator[MiningReport]:
@@ -111,74 +77,22 @@ def mine_feasible_stp(g, source, target, config: MiningConfig) -> Iterator[Minin
     return _mine_stp(g, source, target, config, FEASIBLE)
 
 
-def _ok_kinds(mode: str) -> tuple[str, ...]:
-    return (EXACT,) if mode == EXACT else (EXACT, FEASIBLE)
-
-
-def _empty_program_report(mode: str, source, target) -> MiningReport:
-    ok = source == target if mode == EXACT else source.issubset(target)
-    programs = [TosetProgram(())] if ok else []
-    return MiningReport("stp", mode, 0, programs, True, _zero_stats())
-
-
 def _mine_stp(g, source, target, config, mode) -> Iterator[MiningReport]:
-    _validate_instance(g, source, target)
-    if config.fidelity == LITERAL:
-        yield from _mine_stp_literal(g, source, target, config, mode)
-        return
-    budget = Budget(config)
-    reach = source.mask
-    for length in range(config.max_len + 1):
-        if length == 0:
-            yield _empty_program_report(mode, source, target)
-        else:
-            if mode == EXACT:
-                viable = target.mask & ~reach == 0
-            else:
-                viable = target.mask & reach != 0
-            if not viable:
-                yield MiningReport("stp", mode, length, [], True, _zero_stats())
-            else:
-                found, _, stats, exhausted = _run_stp_level(
-                    g, source, target, length, mode, budget
-                )
-                programs = [found[k] for k in sorted(found)]
-                yield MiningReport("stp", mode, length, programs, exhausted, stats)
-                if budget.tripped:
-                    return
-        reach = g.out_image(reach)
+    make_level = literal.stp_level if config.fidelity == LITERAL else _stp_level
+    return run_levels(g, source, target, config, "stp", mode, TosetProgram(()), make_level)
 
 
-def _seed_chains(g, target, mode):
-    if mode == EXACT:
-        return [((target, target, 0),)]
-    return [((VertexSet.single(g.n, v), target, 0),) for v in target]
-
-
-def _filtered_frontier(g, frontier_mask: int, B: VertexSet, M: VertexSet) -> int:
+def _filtered_frontier(g, frontier: int, B: int, M: int) -> int:
     """Drop frontier vertices that could leak a B-looking vector outside M.
 
     A vertex stays only if none of its out-neighbours outside M carries a
     feature vector that also occurs in B; this is what keeps the later
     criterion synthesis solvable.
     """
-    b_vecs = {g.rows[u] for u in B}
-    safe = 0
-    for v in iter_bits(frontier_mask):
-        leak = g.out_mask(v) & ~M.mask
-        if all(g.rows[u] not in b_vecs for u in iter_bits(leak)):
-            safe |= 1 << v
-    return safe
-
-
-def _raw_covers(g, pool_mask: int, B: VertexSet, inject: Optional[VertexSet] = None):
-    candidates = []
-    for v in iter_bits(pool_mask):
-        out = g.out_mask(v)
-        if inject is not None and out & ~inject.mask:
-            continue
-        candidates.append((v, out & B.mask))
-    return minimal_covers(B.mask, candidates)
+    b_vecs = {g.rows[u] for u in iter_bits(B)}
+    leaks = g.out_image(frontier) & ~M
+    lookalikes = mask_of(u for u in iter_bits(leaks) if g.rows[u] in b_vecs)
+    return frontier & ~g.in_image(lookalikes)
 
 
 def _class_masks(g, pool_mask: int) -> list[int]:
@@ -190,178 +104,70 @@ def _class_masks(g, pool_mask: int) -> list[int]:
     return list(classes.values())
 
 
-def _synthesize(g, chain, stats) -> Optional[TosetProgram]:
-    """Phase 2: one criterion per chain element, first step first.
+def _stp_level(g, source, target, mode, accepted=None):
+    """Repaired criterion search; chains reaching the source go to ``accepted``."""
+    S = source.mask
+    seeds = literal.seed_chains(target.mask, mode)
 
-    The E side at each step is the reachable leakage: out-neighbours of the
-    previous element's M that fall outside this element's M.
-    """
-    steps = []
-    for j in range(1, len(chain)):
-        B, M, _ = chain[j]
-        prev_m = chain[j - 1][1]
-        e_mask = g.out_image(prev_m.mask) & ~M.mask
-        try:
-            crit = compute_criterion(
-                [g.rows[v] for v in B],
-                [g.rows[v] for v in M],
-                [g.rows[v] for v in iter_bits(e_mask)],
-                g.schema,
-            )
-        except InseparableError:
-            stats["inseparable"] += 1
-            return None
-        steps.append(crit)
-    return TosetProgram(tuple(steps))
-
-
-def _run_stp_level(g, source, target, length, mode, budget):
-    stats = _zero_stats()
-    found: dict = {}
-    accepted: list = []
-    exhausted = True
-    queue = deque(_seed_chains(g, target, mode))
-    positions = [source.mask]
-    for _ in range(length - 1):
-        positions.append(g.out_image(positions[-1]))
-
-    while queue:
-        if not budget.charge_triple():
-            exhausted = False
-            break
-        chain = queue.popleft()
-        stats["chains_expanded"] += 1
-        B, M, dist = chain[0]
-        if dist == length:
-            if B.mask & ~source.mask == 0 and source.mask & ~M.mask == 0:
-                accepted.append(chain)
-                program = _synthesize(g, chain, stats)
-                if program is not None:
-                    cls = classify_stp(g, source, target, program)
-                    if cls.kind in _ok_kinds(mode):
-                        key = program.key(g)
-                        if key in found:
-                            stats["dedup_hits"] += 1
-                        else:
-                            found[key] = program
-                            budget.charge_program()
-            continue
-        frontier = positions[length - dist - 1]
-        safe = _filtered_frontier(g, frontier, B, M)
-        pool = safe & g.in_image(B.mask)
-        new_m = VertexSet(g.n, safe)
-        # Bases that will receive a criterion stay vector-homogeneous, so each
-        # synthesized step selects a single feature class; the head element is
-        # dropped during synthesis and may mix classes.
-        if dist + 1 == length:
-            pools = [pool]
-        else:
-            pools = _class_masks(g, pool)
-        for sub in pools:
-            for ids in _raw_covers(g, sub, B):
-                stats["pseudo_bases"] += 1
-                basis = VertexSet.from_ids(g.n, ids)
-                leak = VertexSet(g.n, g.out_image(basis.mask) & ~M.mask)
-                if not consistent(g, basis, B, leak):
-                    continue  # cannot happen after the frontier filter; kept as a guard
-                queue.append(((basis, new_m, dist + 1),) + chain)
-    return found, accepted, stats, exhausted
-
-
-def _accepted_chains(g, source, target, length, mode=EXACT):
-    """Test hook: the accepted chains of one level of the default search."""
-    budget = Budget(MiningConfig(max_len=length))
-    _, accepted, _, _ = _run_stp_level(g, source, target, length, mode, budget)
-    return accepted
-
-
-# -- literal fidelity ---------------------------------------------------------
-
-
-def _strict_filter(g, pool_mask: int, B: VertexSet, M: VertexSet) -> int:
-    """Uncorrected per-vertex filter: only a vertex's own B-children count."""
-    out_pool = g.out_image(pool_mask)
-    e_global = out_pool & ~M.mask
-    safe = 0
-    for v in iter_bits(pool_mask):
-        out = g.out_mask(v)
-        b_vecs = {g.rows[u] for u in iter_bits(out & B.mask)}
-        if all(g.rows[u] not in b_vecs for u in iter_bits(out & e_global)):
-            safe |= 1 << v
-    return safe
-
-
-def _mine_stp_literal(g, source, target, config, mode) -> Iterator[MiningReport]:
-    budget = Budget(config)
-    carry = deque(_seed_chains(g, target, mode))
-    reach = source.mask
-    for length in range(config.max_len + 1):
-        if length == 0:
-            yield _empty_program_report(mode, source, target)
-            reach = g.out_image(reach)
-            continue
-        if target.mask & ~reach != 0:
-            yield MiningReport("stp", mode, length, [], True, _zero_stats())
-            reach = g.out_image(reach)
-            continue
-        stats = _zero_stats()
+    def level(length, positions, budget):
+        stats = zero_stats("stp")
         found: dict = {}
-        accepted: list = []
         exhausted = True
-        queue = carry
-        carry = deque()
-        # positions[j] = vertices exactly j steps from the source, j = 0..length
-        positions = [source.mask]
-        for _ in range(length):
-            positions.append(g.out_image(positions[-1]))
+        queue = deque(seeds)
         while queue:
             if not budget.charge_triple():
                 exhausted = False
                 break
             chain = queue.popleft()
             stats["chains_expanded"] += 1
-            B, M, _dist = chain[0]
-            n = len(chain)
-            if n - 1 == length:
-                if B.mask & ~source.mask == 0 and source.mask & ~M.mask == 0:
-                    accepted.append(chain)
-                carry.append(chain)
-                continue
-            pool = g.in_image(B.mask) & positions[length - n]
-            pool = _strict_filter(g, pool, B, M)
-            pool_set = VertexSet(g.n, pool)
-            for ids in _raw_covers(g, pool, B, inject=M):
-                stats["pseudo_bases"] += 1
-                basis = VertexSet.from_ids(g.n, ids)
-                queue.append(((basis, pool_set, n),) + chain)
-        for chain in accepted:
-            steps = []
-            bad = False
-            for B, M, dist in chain[1:]:
-                e_mask = positions[length - dist] & ~M.mask
-                try:
-                    crit = compute_criterion(
-                        [g.rows[v] for v in B],
-                        [g.rows[v] for v in M],
-                        [g.rows[v] for v in iter_bits(e_mask)],
-                        g.schema,
+            B, M, dist = chain[0]
+            if dist == length:
+                if B & ~S == 0 and S & ~M == 0:
+                    if accepted is not None:
+                        accepted.append(chain)
+                    # the E side of a step is what the previous element's M
+                    # can reach outside this element's M
+                    elements = (
+                        (b, m, g.out_image(prev_m) & ~m)
+                        for (_, prev_m, _), (b, m, _) in zip(chain, chain[1:])
                     )
-                except InseparableError:
-                    stats["inseparable"] += 1
-                    bad = True
-                    break
-                steps.append(crit)
-            if bad:
+                    program = separating_program(g, elements)
+                    if program is None:
+                        stats["inseparable"] += 1
+                    elif classify_stp(g, source, target, program).kind in (EXACT, mode):
+                        key = program.key(g)
+                        if key in found:
+                            stats["dedup_hits"] += 1
+                        else:
+                            found[key] = program
+                            budget.charge_program()
                 continue
-            program = TosetProgram(tuple(steps))
-            key = program.key(g)
-            if key in found:
-                stats["dedup_hits"] += 1
+            safe = _filtered_frontier(g, positions[length - dist - 1], B, M)
+            pool = safe & g.in_image(B)
+            # Bases that will receive a criterion stay vector-homogeneous, so each
+            # synthesized step selects a single feature class; the head element is
+            # dropped during synthesis and may mix classes.
+            if dist + 1 == length:
+                pools = [pool]
             else:
-                found[key] = program
-                budget.charge_program()
-        programs = [found[k] for k in sorted(found)]
-        yield MiningReport("stp", mode, length, programs, exhausted, stats)
-        if budget.tripped:
-            return
-        reach = g.out_image(reach)
+                pools = _class_masks(g, pool)
+            for sub in pools:
+                candidates = [(v, g.out_mask(v) & B) for v in iter_bits(sub)]
+                for ids in minimal_covers(B, candidates):
+                    stats["pseudo_bases"] += 1
+                    queue.append(((mask_of(ids), safe, dist + 1),) + chain)
+        return [found[k] for k in sorted(found)], exhausted, stats
+
+    return level
+
+
+def _accepted_chains(g, source, target, length, mode=EXACT):
+    """Test hook: the accepted chains of one level of the default search."""
+    accepted: list = []
+    positions = [iterated_out(g, source, j).mask for j in range(length + 1)]
+    level = _stp_level(g, source, target, mode, accepted)
+    level(length, positions, Budget(MiningConfig(max_len=length)))
+    return [
+        tuple((VertexSet(g.n, B), VertexSet(g.n, M), dist) for B, M, dist in chain)
+        for chain in accepted
+    ]

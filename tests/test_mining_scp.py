@@ -1,8 +1,12 @@
 import random
+import time
 
 import pytest
 
+import walkmine.graph as graphmod
 from helpers import color_graph, color_names, mine_all, name_program, vs
+from walkmine.bitset import VertexSet
+from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
 from walkmine.mining import MiningConfig
 from walkmine.oracle import brute_force_mine_scp
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
@@ -198,3 +202,41 @@ def test_all_emissions_reclassify(funnel, dead_branch, threestep, fourstep):
                         assert kind == "exact"
                     else:
                         assert kind in ("exact", "feasible")
+
+
+def _sparse_instance(seed: int, n: int, degree: int, colours: int):
+    """Random graph with `degree` out-edges per vertex, target planted by 3 colours."""
+    rng = random.Random(seed)
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    rows = [(f"c{rng.randrange(colours)}",) for _ in range(n)]
+    edges = sorted({(v, rng.randrange(n)) for v in range(n) for _ in range(degree)})
+    source = VertexSet.from_ids(n, rng.sample(range(n), 3))
+
+    def build():
+        return DirectedGraph(schema, [f"v{i}" for i in range(n)], rows, edges)
+
+    g = build()
+    cur = source.mask
+    for _ in range(3):
+        image = g.out_image(cur)
+        present = [c for c in range(g.num_colors) if image & g.color_mask(c)]
+        cur = image & g.color_mask(rng.choice(present))
+    return build, source, VertexSet(n, cur)
+
+
+def test_dense_limit_crossing_keeps_reports_and_speed(monkeypatch):
+    # the same sparse graph on both adjacency paths: above the limit the
+    # edge-array path must give the same reports without a per-vertex O(E) scan
+    build, S, T = _sparse_instance(seed=3, n=8000, degree=4, colours=8)
+    cfg = MiningConfig(max_len=4)
+    edge_arrays = build()
+    assert edge_arrays._vectorised
+    start = time.perf_counter()
+    fast = [r.to_dict(edge_arrays) for r in mine_feasible_scp(edge_arrays, S, T, cfg)]
+    elapsed = time.perf_counter() - start
+    monkeypatch.setattr(graphmod, "_DENSE_LIMIT", 10**6)
+    masks = build()
+    assert not masks._vectorised
+    assert [r.to_dict(masks) for r in mine_feasible_scp(masks, S, T, cfg)] == fast
+    assert any(rep["programs"] for rep in fast)
+    assert elapsed < 2.0, f"edge-array path took {elapsed:.2f} s"

@@ -51,6 +51,7 @@ def test_matches_bruteforce_on_random_instances():
             VertexSet(6, target),
         )
         assert {frozenset(c) for c in got} == {frozenset(w.ids()) for w in want}
+        assert len(got) == len(set(got))
         # each result is itself minimal
         for cover in got:
             union = 0
