@@ -5,8 +5,7 @@ of criteria. Missing values fail every order comparison; ``= Missing`` is
 the explicit presence test. ``compute_criterion`` builds a criterion that
 accepts a set of feature vectors B and rejects a set E by growing a binary
 decision tree and reading off the B-leaf paths. A criterion program
-(``TosetProgram``) is one criterion per step; ``separating_program`` builds
-one from a chain of (B, M, E) sets.
+(``TosetProgram``) is one criterion per step.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .bitset import iter_bits
 from .graph import CATEGORICAL, ORDERED, FeatureSchema
 
 OPS = ("<", "<=", "=", ">=", ">")
@@ -284,21 +282,3 @@ class TosetProgram:
     def key(self, g) -> tuple[str, ...]:
         return tuple(criterion_key(c, g.schema) for c in self.steps)
 
-
-def separating_program(g, elements) -> Optional[TosetProgram]:
-    """One criterion per (B, M, E) element of int masks over ``g``, or None.
-
-    Each step accepts B's feature vectors and rejects E's; None when some
-    element is inseparable. Elements are consumed lazily, so the ones after
-    an inseparable element are never built.
-    """
-
-    def rows(mask):
-        return [g.rows[v] for v in iter_bits(mask)]
-
-    try:
-        return TosetProgram(
-            tuple(compute_criterion(rows(B), rows(M), rows(E), g.schema) for B, M, E in elements)
-        )
-    except InseparableError:
-        return None

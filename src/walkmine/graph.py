@@ -164,6 +164,9 @@ class DirectedGraph:
     def vector(self, v: int) -> tuple:
         return self.rows[v]
 
+    def vectors(self, mask: int) -> list[tuple]:
+        return [self.rows[v] for v in iter_bits(mask)]
+
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._edge_list)
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 from collections import deque
 
 from .bitset import iter_bits, mask_of
-from .criterion import separating_program
+from .criterion import InseparableError, TosetProgram, compute_criterion
 from .mining import EXACT, zero_stats
 from .setcover import minimal_covers, pseudo_bases
 
 
-def seed_chains(target: int, mode: str) -> list:
-    """Criterion-search seeds, shared by both fidelities: chains of (B, M, dist)."""
+def _seed_chains(target: int, mode: str) -> list:
+    """Criterion-search seeds: chains of (B, M, dist)."""
     if mode == EXACT:
         return [((target, target, 0),)]
     return [((1 << v, target, 0),) for v in iter_bits(target)]
@@ -98,7 +98,7 @@ def _strict_filter(g, pool: int, B: int, M: int) -> int:
 def stp_level(g, source, target, mode):
     """Uncorrected criterion search: in-neighbourhood pools, synthesis afterwards."""
     S = source.mask
-    carry = deque(seed_chains(target.mask, mode))
+    carry = deque(_seed_chains(target.mask, mode))
 
     def level(length, positions, budget):
         nonlocal carry
@@ -130,9 +130,13 @@ def stp_level(g, source, target, mode):
                 queue.append(((mask_of(ids), pool, n),) + chain)
         found: dict = {}
         for chain in accepted:
-            elements = ((B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:])
-            program = separating_program(g, elements)
-            if program is None:
+            elements = [(B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:]]
+            try:
+                program = TosetProgram(tuple(
+                    compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
+                    for B, M, E in elements
+                ))
+            except InseparableError:
                 stats["inseparable"] += 1
                 continue
             key = program.key(g)

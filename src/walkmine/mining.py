@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -42,6 +43,8 @@ class MiningConfig:
     def __post_init__(self):
         if self.max_len < 0:
             raise ValueError("max_len must be non-negative")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time_budget must be a number of seconds >= 0")
         if self.fidelity not in (REPAIRED, LITERAL):
             raise ValueError(f"unknown fidelity {self.fidelity!r}")
         for name in ("max_programs", "max_triples"):
@@ -159,3 +162,47 @@ def run_levels(
         yield MiningReport(engine, mode, length, programs, exhausted, stats)
         if budget.tripped:
             return
+
+
+def backward_level(g, source, engine, seeds, expand, accept):
+    """Level callback of a repaired search: breadth-first over states (p, B, M).
+
+    A state says that any start set between B and M runs the suffix program
+    ``p`` into the target. ``expand(state, length, positions, stats)`` yields
+    the states one step longer; a state is dropped if seen before at this
+    length. A state with ``len(p) == length`` and B ⊆ S ⊆ M is a candidate,
+    and ``accept(p)`` returns its sort key if it is a program of the mode,
+    else None. Each popped state charges the budget.
+    """
+    S = source.mask
+    expanded = _STATS[engine][0]
+
+    def level(length, positions, budget):
+        stats = zero_stats(engine)
+        found: dict = {}
+        exhausted = True
+        queue = deque(seeds)
+        seen = set(seeds)
+        while queue:
+            if not budget.charge_triple():
+                exhausted = False
+                break
+            state = queue.popleft()
+            stats[expanded] += 1
+            p, B, M = state
+            if len(p) == length:
+                if B & ~S == 0 and S & ~M == 0 and p not in found:
+                    key = accept(p)
+                    if key is not None:
+                        found[p] = key
+                        budget.charge_program()
+                continue
+            for nxt in expand(state, length, positions, stats):
+                if nxt in seen:
+                    stats["dedup_hits"] += 1
+                    continue
+                seen.add(nxt)
+                queue.append(nxt)
+        return sorted(found, key=found.__getitem__), exhausted, stats
+
+    return level

@@ -11,14 +11,13 @@ variant kept for comparison.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import literal
 from .bitset import VertexSet, iter_bits
 from .graph import DirectedGraph
-from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, run_levels, zero_stats
+from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_level, run_levels
 from .setcover import pseudo_bases
 
 INFEASIBLE = "infeasible"
@@ -164,55 +163,34 @@ def _seeds(g, target: int, mode: str) -> list:
 
 def _scp_level(g, source, target, mode):
     """Repaired colour search: every triple (p, B, M) keeps its invariant."""
-    S = source.mask
-    seeds = _seeds(g, target.mask, mode)
+    inb_cache: dict[int, int] = {}
 
-    def level(length, positions, budget):
-        stats = zero_stats("scp")
-        found = set()
-        exhausted = True
-        queue = deque(seeds)
-        seen = set(seeds)
-        inb_cache: dict[int, int] = {}
-        while queue:
-            if not budget.charge_triple():
-                exhausted = False
-                break
-            p, B, M = queue.popleft()
-            stats["triples_expanded"] += 1
-            n = len(p)
-            if n == length:
-                if B & ~S == 0 and S & ~M == 0 and p not in found:
-                    if classify_scp(g, source, target, p).kind in (EXACT, mode):
-                        found.add(p)
-                        budget.charge_program()
+    def expand(state, length, positions, stats):
+        p, B, M = state
+        n = len(p)
+        c = _mono_color(g, B)
+        if c is None:
+            return
+        base = positions[length - n - 1]
+        if B not in inb_cache:
+            inb_cache[B] = g.in_image(B)
+        inb = inb_cache[B]
+        if length == n + 1:
+            branches = [base]
+        else:
+            branches = [g.color_mask(d) & base for d in g.colors_in(base & inb)]
+        # vertices whose c-image leaves M
+        unsafe = g.in_image(g.color_mask(c) & ~M)
+        newp = (c,) + p
+        for branch in branches:
+            safe = branch & ~unsafe
+            if not safe:
                 continue
-            c = _mono_color(g, B)
-            if c is None:
-                continue
-            base = positions[length - n - 1]
-            if B not in inb_cache:
-                inb_cache[B] = g.in_image(B)
-            inb = inb_cache[B]
-            if length == n + 1:
-                branches = [base]
-            else:
-                branches = [g.color_mask(d) & base for d in g.colors_in(base & inb)]
-            # vertices whose c-image leaves M
-            unsafe = g.in_image(g.color_mask(c) & ~M)
-            newp = (c,) + p
-            for branch in branches:
-                safe = branch & ~unsafe
-                if not safe:
-                    continue
-                for basis in pseudo_bases(g, safe & inb, B, M, c):
-                    stats["pseudo_bases"] += 1
-                    triple = (newp, basis, safe)
-                    if triple in seen:
-                        stats["dedup_hits"] += 1
-                        continue
-                    seen.add(triple)
-                    queue.append(triple)
-        return sorted(found), exhausted, stats
+            for basis in pseudo_bases(g, safe & inb, B, M, c):
+                stats["pseudo_bases"] += 1
+                yield (newp, basis, safe)
 
-    return level
+    def accept(p):
+        return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None
+
+    return backward_level(g, source, "scp", _seeds(g, target.mask, mode), expand, accept)

@@ -1,25 +1,24 @@
 """Criterion programs over feature vectors: simulation and mining.
 
 A toset program is a sequence of criteria; each step keeps the out-neighbours
-whose feature vectors satisfy the step's criterion. Mining runs in two
-phases: a backward search over chains of (B, M, distance) elements from the
-target, then per-chain criterion synthesis that separates each element's B
-from the vertices a run could actually leak to. The default search widens M
-to the whole filtered frontier (mirroring the colour miner's repair); the
-``literal`` fidelity, in :mod:`walkmine.literal`, keeps the uncorrected
-in-neighbourhood pools.
+whose feature vectors satisfy the step's criterion. The default miner shares
+the colour miner's breadth-first search over states (p, B, M), with p a
+criterion suffix: each expansion synthesises the criterion that separates B
+from the vertices a run could actually leak to, and widens M to the whole
+filtered frontier (mirroring the colour miner's repair). The ``literal``
+fidelity, in :mod:`walkmine.literal`, keeps the uncorrected in-neighbourhood
+pools and synthesises criteria per accepted chain.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 from . import literal
 from .bitset import VertexSet, iter_bits, mask_of
-from .criterion import Criterion, TosetProgram, satisfies, separating_program
-from .graph import DirectedGraph, iterated_out
-from .mining import EXACT, FEASIBLE, LITERAL, Budget, MiningConfig, MiningReport, run_levels, zero_stats
+from .criterion import Criterion, InseparableError, TosetProgram, compute_criterion, satisfies
+from .graph import DirectedGraph
+from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_level, run_levels
 from .scp import Classification, classify_trace
 from .setcover import minimal_covers
 
@@ -64,9 +63,6 @@ def consistent(g: DirectedGraph, A: VertexSet, b_side: VertexSet, e_side: Vertex
 
 # -- mining -------------------------------------------------------------------
 
-# chain: tuple of (B, M, dist) triples, B and M int masks, head first; the
-# tail is at the target
-
 
 def mine_exact_stp(g, source, target, config: MiningConfig) -> Iterator[MiningReport]:
     """One report per length 0..max_len listing exact criterion programs."""
@@ -104,70 +100,41 @@ def _class_masks(g, pool_mask: int) -> list[int]:
     return list(classes.values())
 
 
-def _stp_level(g, source, target, mode, accepted=None):
-    """Repaired criterion search; chains reaching the source go to ``accepted``."""
-    S = source.mask
-    seeds = literal.seed_chains(target.mask, mode)
+def _stp_level(g, source, target, mode):
+    """Repaired criterion search over states (p, B, M), p a criterion suffix."""
+    T = target.mask
+    starts = [T] if mode == EXACT else [1 << v for v in iter_bits(T)]
+    seeds = [(TosetProgram(()), B, T) for B in starts]
 
-    def level(length, positions, budget):
-        stats = zero_stats("stp")
-        found: dict = {}
-        exhausted = True
-        queue = deque(seeds)
-        while queue:
-            if not budget.charge_triple():
-                exhausted = False
-                break
-            chain = queue.popleft()
-            stats["chains_expanded"] += 1
-            B, M, dist = chain[0]
-            if dist == length:
-                if B & ~S == 0 and S & ~M == 0:
-                    if accepted is not None:
-                        accepted.append(chain)
-                    # the E side of a step is what the previous element's M
-                    # can reach outside this element's M
-                    elements = (
-                        (b, m, g.out_image(prev_m) & ~m)
-                        for (_, prev_m, _), (b, m, _) in zip(chain, chain[1:])
-                    )
-                    program = separating_program(g, elements)
-                    if program is None:
-                        stats["inseparable"] += 1
-                    elif classify_stp(g, source, target, program).kind in (EXACT, mode):
-                        key = program.key(g)
-                        if key in found:
-                            stats["dedup_hits"] += 1
-                        else:
-                            found[key] = program
-                            budget.charge_program()
-                continue
-            safe = _filtered_frontier(g, positions[length - dist - 1], B, M)
-            pool = safe & g.in_image(B)
-            # Bases that will receive a criterion stay vector-homogeneous, so each
-            # synthesized step selects a single feature class; the head element is
-            # dropped during synthesis and may mix classes.
-            if dist + 1 == length:
-                pools = [pool]
-            else:
-                pools = _class_masks(g, pool)
-            for sub in pools:
-                candidates = [(v, g.out_mask(v) & B) for v in iter_bits(sub)]
-                for ids in minimal_covers(B, candidates):
-                    stats["pseudo_bases"] += 1
-                    queue.append(((mask_of(ids), safe, dist + 1),) + chain)
-        return [found[k] for k in sorted(found)], exhausted, stats
+    def expand(state, length, positions, stats):
+        p, B, M = state
+        dist = len(p)
+        safe = _filtered_frontier(g, positions[length - dist - 1], B, M)
+        pool = safe & g.in_image(B)
+        # Bases that will receive a criterion stay vector-homogeneous, so each
+        # synthesized step selects a single feature class; the head state's
+        # base gets no criterion and may mix classes.
+        pools = [pool] if dist + 1 == length else _class_masks(g, pool)
+        bases = []
+        for sub in pools:
+            candidates = [(v, g.out_mask(v) & B) for v in iter_bits(sub)]
+            for ids in minimal_covers(B, candidates):
+                stats["pseudo_bases"] += 1
+                bases.append(mask_of(ids))
+        if not bases:
+            return []
+        # every new state has M = safe, so the step's E side is what safe can
+        # reach outside M, and the step's criterion is the same for all of them
+        E = g.out_image(safe) & ~M
+        try:
+            crit = compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
+        except InseparableError:
+            stats["inseparable"] += 1
+            return []
+        newp = TosetProgram((crit,) + p.steps)
+        return [(newp, basis, safe) for basis in bases]
 
-    return level
+    def accept(p):
+        return p.key(g) if classify_stp(g, source, target, p).kind in (EXACT, mode) else None
 
-
-def _accepted_chains(g, source, target, length, mode=EXACT):
-    """Test hook: the accepted chains of one level of the default search."""
-    accepted: list = []
-    positions = [iterated_out(g, source, j).mask for j in range(length + 1)]
-    level = _stp_level(g, source, target, mode, accepted)
-    level(length, positions, Budget(MiningConfig(max_len=length)))
-    return [
-        tuple((VertexSet(g.n, B), VertexSet(g.n, M), dist) for B, M, dist in chain)
-        for chain in accepted
-    ]
+    return backward_level(g, source, "stp", seeds, expand, accept)

@@ -246,6 +246,10 @@ def test_gen_deterministic(capsys, tmp_path):
           "--program", "red"), "unknown vertex"),
         (("verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
           "--engine", "stp", "--program", "not json"), "JSON"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--time-budget", "nan"), "time_budget"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--time-budget", "-3"), "time_budget"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):

@@ -1,18 +1,19 @@
 import random
 
-from helpers import mine_all, trace_names, vs
+import walkmine.criterion
+import walkmine.stp
+from helpers import mine_all, name_program, trace_names, vs
 from walkmine import (
     MiningConfig,
     classify_stp,
-    in_neighbors,
     mine_exact_scp,
     mine_exact_stp,
     mine_feasible_stp,
+    simulate_scp,
     simulate_stp,
 )
-from walkmine.generate import random_instance
+from walkmine.generate import layered_graph, random_instance
 from walkmine.mining import LITERAL
-from walkmine.stp import _accepted_chains
 
 ATOM = lambda f, op, v: {"atom": {"f": f, "op": op, "v": v}}
 
@@ -27,7 +28,7 @@ def test_funnel_frozen_program(funnel):
     assert reports[2].stats == {
         "chains_expanded": 5,
         "pseudo_bases": 4,
-        "dedup_hits": 1,
+        "dedup_hits": 0,
         "inseparable": 0,
     }
     cls = classify_stp(g, S, T, p)
@@ -117,19 +118,31 @@ def test_report_serialization(funnel):
     assert data["programs"] == [[ATOM("color", "=", "red"), ATOM("color", "=", "green")]]
 
 
-def test_accepted_chain_geometry(funnel):
-    g, S, T = funnel
-    chains = _accepted_chains(g, S, T, 2)
-    assert len(chains) == 2
-    for chain in chains:
-        assert len(chain) == 3
-        assert [dist for _, _, dist in chain] == [2, 1, 0]
-        assert chain[-1][0] == T and chain[-1][1] == T
-        assert chain[0][0].issubset(S)
-        for B, M, _ in chain:
-            assert B and B.issubset(M)
-        for (B, _, _), (nxt, _, _) in zip(chain, chain[1:]):
-            assert B.issubset(in_neighbors(g, nxt))
+def test_criteria_synthesised_once_per_state(monkeypatch):
+    """Each step criterion is built once per expanded state, not per chain."""
+    g = layered_graph([8] * 6, ["red", "green", "blue"], 3, seed=1)
+    S = g.vertex_set(range(8))
+    planted = name_program(g, "green", "blue", "red", "green", "blue")
+    T = simulate_scp(g, S, planted)[-1]
+    calls = {"compute_criterion": 0, "classify_stp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    compute = counted("compute_criterion", walkmine.criterion.compute_criterion)
+    monkeypatch.setattr(walkmine.criterion, "compute_criterion", compute)
+    monkeypatch.setattr(walkmine.stp, "compute_criterion", compute, raising=False)
+    monkeypatch.setattr(walkmine.stp, "classify_stp", counted("classify_stp", walkmine.stp.classify_stp))
+    reports = list(mine_exact_stp(g, S, T, MiningConfig(max_len=5)))
+    assert [len(r.programs) for r in reports] == [0, 0, 0, 0, 0, 1]
+    assert all(r.exhausted for r in reports)
+    states = sum(r.stats["chains_expanded"] for r in reports)
+    assert 0 < calls["compute_criterion"] <= states
+    assert calls["classify_stp"] == 1
 
 
 def test_determinism(threestep):
