@@ -5,9 +5,10 @@ and 2, with both engines (``scp`` to length 4, ``stp`` to length 3), both
 modes and both fidelities, once uncapped and once with ``max_triples=7``. Each
 report's ``to_dict`` goes to one JSON line. The script prints the number of
 reports and the SHA-256 of the whole stream, then the same for each (engine,
-fidelity) group, then for the uncapped repaired ``stp`` reports with their
-``stats`` dropped. Two commits whose digests match gave byte-identical
-reports on the corpus; the group lines show which reports a change moved.
+fidelity) group, then for the uncapped repaired ``scp`` and ``stp`` reports
+with their ``stats`` dropped. Two commits whose digests match gave
+byte-identical reports on the corpus; the group lines show which reports a
+change moved.
 Run it from a checkout with the package on the path:
 
     PYTHONPATH=src python3 scripts/report_digest.py [--dump FILE]
@@ -31,7 +32,7 @@ MINERS = (
     ("stp", 3, mine_feasible_stp),
 )
 FIDELITIES = ("repaired", "literal")
-STATS_FREE = "stp repaired uncapped, no stats"
+STATS_FREE = {engine: f"{engine} repaired uncapped, no stats" for engine in ("scp", "stp")}
 
 
 def stream():
@@ -48,16 +49,17 @@ def stream():
                             head = [seed, extra_dims, fidelity, max_triples]
                             doc = rep.to_dict(g)
                             yield ["total", f"{engine} {fidelity}"], json.dumps([head, doc])
-                            if (engine, fidelity, max_triples) == ("stp", "repaired", None):
+                            if (fidelity, max_triples) == ("repaired", None):
                                 del doc["stats"]
-                                yield [STATS_FREE], json.dumps([head, doc])
+                                yield [STATS_FREE[engine]], json.dumps([head, doc])
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", help="also write the stream's JSON lines to this file")
     args = parser.parse_args()
-    names = ["total"] + [f"{e} {f}" for e in ("scp", "stp") for f in FIDELITIES] + [STATS_FREE]
+    names = ["total"] + [f"{e} {f}" for e in ("scp", "stp") for f in FIDELITIES]
+    names += STATS_FREE.values()
     digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(names, 0)
     dump = open(args.dump, "w", encoding="utf-8") if args.dump else None

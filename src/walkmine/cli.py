@@ -12,7 +12,7 @@ from .criterion import criterion_from_dict, criterion_to_dict
 from .generate import random_instance, write_instance
 from .graph import DirectedGraph, MultiGraph, convert_multigraph
 from .graphio import GraphFormatError, load_graph, parse_vertex_set, serialize_graph, to_dot
-from .mining import MiningConfig
+from .mining import MiningConfig, MiningReport
 from .oracle import CapExceededError, brute_force_mine_scp
 from .scp import classify_scp, mine_exact_scp, mine_feasible_scp, simulate_scp
 from .stp import TosetProgram, classify_stp, mine_exact_stp, mine_feasible_stp, simulate_stp
@@ -130,8 +130,8 @@ def _cmd_mine(args) -> int:
             ("stp", "exact"): mine_exact_stp,
             ("stp", "feasible"): mine_feasible_stp,
         }[(args.engine, args.mode)]
-        reports = (r.to_dict(g) for r in miner(g, source, target, config))
-    for report in reports:
+        reports = miner(g, source, target, config)
+    for report in (r.to_dict(g) for r in reports):
         found += len(report["programs"])
         if args.output == "json":
             print(json.dumps(report))
@@ -151,14 +151,7 @@ def _oracle_reports(g, source, target, args):
         except CapExceededError as e:
             raise CliError(str(e)) from None
         programs = sorted(exact if args.mode == "exact" else feasible)
-        yield {
-            "engine": "oracle",
-            "mode": args.mode,
-            "length": length,
-            "exhausted": True,
-            "programs": [[g.color_names[c] for c in p] for p in programs],
-            "stats": {},
-        }
+        yield MiningReport("oracle", args.mode, length, programs, True, {})
 
 
 # -- verify / simulate ----------------------------------------------------------

@@ -179,6 +179,8 @@ class DirectedGraph:
     # -- colours ----------------------------------------------------------
 
     def _intern_colors(self):
+        if not self.schema.has(self.color_dim):
+            raise ValueError(f"colour dimension {self.color_dim!r} is not in the schema")
         dim = self.schema.index(self.color_dim)
         if self.schema.kind_of(dim) != CATEGORICAL:
             raise ValueError(f"colour dimension {self.color_dim!r} must be categorical")

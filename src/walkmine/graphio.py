@@ -73,7 +73,7 @@ def _load_features(raw, schema: FeatureSchema, location) -> list:
     return row
 
 
-def load_graph(text: Union[str, bytes], format: str = "graph-json", color_dim: str = "color") -> Graph:
+def load_graph(text: Union[str, bytes], color_dim: str = "color") -> Graph:
     """Parse a graph document.
 
     Returns a :class:`MultiGraph` when any edge carries a ``features`` key or
@@ -81,8 +81,6 @@ def load_graph(text: Union[str, bytes], format: str = "graph-json", color_dim: s
     assigned in file order. All structural problems are reported as
     :class:`GraphFormatError` with the offending location.
     """
-    if format != "graph-json":
-        _fail("", f"unsupported format {format!r}")
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")

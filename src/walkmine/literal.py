@@ -14,15 +14,8 @@ from collections import deque
 
 from .bitset import iter_bits, mask_of
 from .criterion import InseparableError, TosetProgram, compute_criterion
-from .mining import EXACT, zero_stats
+from .mining import EXACT, start_states, zero_stats
 from .setcover import minimal_covers, pseudo_bases
-
-
-def _seed_chains(target: int, mode: str) -> list:
-    """Criterion-search seeds: chains of (B, M, dist)."""
-    if mode == EXACT:
-        return [((target, target, 0),)]
-    return [((1 << v, target, 0),) for v in iter_bits(target)]
 
 
 def _scp_seeds(g, target: int, mode: str) -> list:
@@ -48,13 +41,9 @@ def scp_level(g, source, target, mode):
         nonlocal carry
         stats = zero_stats("scp")
         found = set()
-        exhausted = True
         queue, carry = carry, deque()
         seen = set(queue)
-        while queue:
-            if not budget.charge_triple():
-                exhausted = False
-                break
+        while queue and budget.charge_triple():
             p, B, M = queue.popleft()
             stats["triples_expanded"] += 1
             n = len(p)
@@ -78,7 +67,7 @@ def scp_level(g, source, target, mode):
                             continue
                         seen.add(triple)
                         queue.append(triple)
-        return sorted(found), exhausted, stats
+        return sorted(found), stats
 
     return level
 
@@ -98,18 +87,14 @@ def _strict_filter(g, pool: int, B: int, M: int) -> int:
 def stp_level(g, source, target, mode):
     """Uncorrected criterion search: in-neighbourhood pools, synthesis afterwards."""
     S = source.mask
-    carry = deque(_seed_chains(target.mask, mode))
+    carry = deque(((B, M, 0),) for _, B, M in start_states(target.mask, mode, ()))
 
     def level(length, positions, budget):
         nonlocal carry
         stats = zero_stats("stp")
         accepted = []
-        exhausted = True
         queue, carry = carry, deque()
-        while queue:
-            if not budget.charge_triple():
-                exhausted = False
-                break
+        while queue and budget.charge_triple():
             chain = queue.popleft()
             stats["chains_expanded"] += 1
             B, M, _ = chain[0]
@@ -145,6 +130,6 @@ def stp_level(g, source, target, mode):
             else:
                 found[key] = program
                 budget.charge_program()
-        return [found[k] for k in sorted(found)], exhausted, stats
+        return [found[k] for k in sorted(found)], stats
 
     return level

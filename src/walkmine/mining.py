@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .bitset import VertexSet
+from .bitset import VertexSet, iter_bits
 from .graph import DirectedGraph
 
 REPAIRED = "repaired"
@@ -134,12 +134,13 @@ def run_levels(
     """One report per length 0..max_len; a level callback searches the viable ones.
 
     ``make_level(g, source, target, mode)`` returns the callback
-    ``level(length, positions, budget) -> (programs, exhausted, stats)``,
-    where ``positions[j]`` is the set of vertices exactly j steps from the
-    source. A length is viable when the vertices that many steps from the
-    source contain the target (exact mode and the literal fidelity) or meet
-    it (repaired feasible mode). The run stops after the level that trips
-    the budget.
+    ``level(length, positions, budget) -> (programs, stats)``, where
+    ``positions[j]`` is the set of vertices exactly j steps from the source.
+    A length is viable when the vertices that many steps from the source
+    contain the target (exact mode and the literal fidelity) or meet it
+    (repaired feasible mode). The empty program counts toward
+    ``max_programs``. A report is exhausted unless the budget tripped, and
+    the run stops after the length that trips it.
     """
     _validate_instance(g, source, target)
     budget = Budget(config)
@@ -147,46 +148,51 @@ def run_levels(
     contain = mode == EXACT or config.fidelity == LITERAL
     positions = [source.mask]
     for length in range(config.max_len + 1):
+        programs, stats = [], zero_stats(engine)
         if length == 0:
             ok = source == target if mode == EXACT else source.issubset(target)
-            programs = [empty_program] if ok else []
-            yield MiningReport(engine, mode, 0, programs, True, zero_stats(engine))
-            continue
-        positions.append(g.out_image(positions[-1]))
-        reach = positions[length]
-        viable = target.mask & ~reach == 0 if contain else target.mask & reach != 0
-        if not viable:
-            yield MiningReport(engine, mode, length, [], True, zero_stats(engine))
-            continue
-        programs, exhausted, stats = level(length, positions, budget)
-        yield MiningReport(engine, mode, length, programs, exhausted, stats)
+            if ok:
+                programs = [empty_program]
+                budget.charge_program()
+        else:
+            positions.append(g.out_image(positions[-1]))
+            reach = positions[length]
+            viable = target.mask & ~reach == 0 if contain else target.mask & reach != 0
+            if viable:
+                programs, stats = level(length, positions, budget)
+        yield MiningReport(engine, mode, length, programs, not budget.tripped, stats)
         if budget.tripped:
             return
 
 
-def backward_level(g, source, engine, seeds, expand, accept):
+def start_states(target: int, mode: str, empty) -> list:
+    """Start states (ε, T, T) in exact mode, (ε, {t}, T) for each t in T in
+    feasible mode; ``empty`` is the engine's empty program ε."""
+    starts = [target] if mode == EXACT else [1 << t for t in iter_bits(target)]
+    return [(empty, B, target) for B in starts]
+
+
+def backward_level(engine, empty, source, target, mode, expand, accept):
     """Level callback of a repaired search: breadth-first over states (p, B, M).
 
     A state says that any start set between B and M runs the suffix program
-    ``p`` into the target. ``expand(state, length, positions, stats)`` yields
-    the states one step longer; a state is dropped if seen before at this
-    length. A state with ``len(p) == length`` and B ⊆ S ⊆ M is a candidate,
-    and ``accept(p)`` returns its sort key if it is a program of the mode,
-    else None. Each popped state charges the budget.
+    ``p`` into the target; the search starts from :func:`start_states`.
+    ``expand(state, length, positions, stats)`` yields the states one step
+    longer; a state is dropped if seen before at this length. A state with
+    ``len(p) == length`` and B ⊆ S ⊆ M is a candidate, and ``accept(p)``
+    returns its sort key if it is a program of the mode, else None. Each
+    popped state charges the budget.
     """
     S = source.mask
     expanded = _STATS[engine][0]
+    seeds = start_states(target.mask, mode, empty)
 
     def level(length, positions, budget):
         stats = zero_stats(engine)
         found: dict = {}
-        exhausted = True
         queue = deque(seeds)
         seen = set(seeds)
-        while queue:
-            if not budget.charge_triple():
-                exhausted = False
-                break
+        while queue and budget.charge_triple():
             state = queue.popleft()
             stats[expanded] += 1
             p, B, M = state
@@ -203,6 +209,6 @@ def backward_level(g, source, engine, seeds, expand, accept):
                     continue
                 seen.add(nxt)
                 queue.append(nxt)
-        return sorted(found, key=found.__getitem__), exhausted, stats
+        return sorted(found, key=found.__getitem__), stats
 
     return level

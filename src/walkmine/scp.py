@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import literal
-from .bitset import VertexSet, iter_bits
+from .bitset import VertexSet
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_level, run_levels
 from .setcover import pseudo_bases
@@ -147,23 +147,8 @@ def _mine_scp(g, source, target, config, mode) -> Iterator[MiningReport]:
     return run_levels(g, source, target, config, "scp", mode, (), make_level)
 
 
-def _seeds(g, target: int, mode: str) -> list:
-    """Triples (suffix, B, M) the search starts from, as int masks."""
-    if mode == EXACT:
-        return [((), target, target)]
-    seeds = []
-    everything = (1 << g.n) - 1
-    for c in range(g.num_colors):
-        cmask = g.color_mask(c)
-        safe = everything & ~g.in_image(cmask & ~target)
-        starters = safe & g.in_image(cmask & target)
-        seeds.extend(((c,), 1 << v, safe) for v in iter_bits(starters))
-    return seeds
-
-
 def _scp_level(g, source, target, mode):
     """Repaired colour search: every triple (p, B, M) keeps its invariant."""
-    inb_cache: dict[int, int] = {}
 
     def expand(state, length, positions, stats):
         p, B, M = state
@@ -172,9 +157,7 @@ def _scp_level(g, source, target, mode):
         if c is None:
             return
         base = positions[length - n - 1]
-        if B not in inb_cache:
-            inb_cache[B] = g.in_image(B)
-        inb = inb_cache[B]
+        inb = g.in_image(B)
         if length == n + 1:
             branches = [base]
         else:
@@ -193,4 +176,4 @@ def _scp_level(g, source, target, mode):
     def accept(p):
         return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level(g, source, "scp", _seeds(g, target.mask, mode), expand, accept)
+    return backward_level("scp", (), source, target, mode, expand, accept)

@@ -23,21 +23,9 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
     cands = [(vid, img) for vid, img in cands if img]
     results: list[tuple[int, ...]] = []
 
-    def emit(chosen: list[tuple[int, int]]):
-        # keep only irredundant covers: every member must cover something
-        # the others do not
-        for i in range(len(chosen)):
-            rest = 0
-            for j, (_, img) in enumerate(chosen):
-                if j != i:
-                    rest |= img
-            if rest & target_mask == target_mask:
-                return
-        results.append(tuple(sorted(vid for vid, _ in chosen)))
-
-    def search(covered: int, chosen: list, banned: frozenset):
-        if covered & target_mask == target_mask:
-            emit(chosen)
+    def search(covered: int, twice: int, chosen: list, banned: frozenset):
+        if covered == target_mask:
+            results.append(tuple(sorted(vid for vid, _ in chosen)))
             return
         # branch on the lowest uncovered element; each surviving cover picks
         # its smallest-id member covering it, so no cover appears twice
@@ -45,10 +33,16 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
         options = [(vid, img) for vid, img in cands if img & low and vid not in banned]
         skipped: set[int] = set()
         for vid, img in options:
-            search(covered | img, chosen + [(vid, img)], banned | frozenset(skipped))
+            # ``twice`` holds the elements covered at least twice; a chosen
+            # member whose mask lies inside it has no private element left and
+            # stays redundant in every superset, so the branch is cut (the new
+            # member keeps ``low`` to itself)
+            dup = twice | (covered & img)
+            if dup == twice or all(m & ~dup for _, m in chosen):
+                search(covered | img, dup, chosen + [(vid, img)], banned | frozenset(skipped))
             skipped.add(vid)
 
-    search(0, [], frozenset())
+    search(0, 0, [], frozenset())
     results.sort()
     return results
 

@@ -102,9 +102,6 @@ def _class_masks(g, pool_mask: int) -> list[int]:
 
 def _stp_level(g, source, target, mode):
     """Repaired criterion search over states (p, B, M), p a criterion suffix."""
-    T = target.mask
-    starts = [T] if mode == EXACT else [1 << v for v in iter_bits(T)]
-    seeds = [(TosetProgram(()), B, T) for B in starts]
 
     def expand(state, length, positions, stats):
         p, B, M = state
@@ -137,4 +134,4 @@ def _stp_level(g, source, target, mode):
     def accept(p):
         return p.key(g) if classify_stp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level(g, source, "stp", seeds, expand, accept)
+    return backward_level("stp", TosetProgram(()), source, target, mode, expand, accept)

@@ -250,6 +250,14 @@ def test_gen_deterministic(capsys, tmp_path):
           "--max-len", "2", "--time-budget", "nan"), "time_budget"),
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
           "--max-len", "2", "--time-budget", "-3"), "time_budget"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--color-dim", "nope"), "colour dimension"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--engine", "oracle", "--color-dim", "nope"), "colour dimension"),
+        (("verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--program", "red", "--color-dim", "nope"), "colour dimension"),
+        (("simulate", "--graph", FUNNEL, "--source", FUNNEL_SOURCE,
+          "--program", "red", "--color-dim", "nope"), "colour dimension"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):

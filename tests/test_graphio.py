@@ -102,8 +102,6 @@ def test_rejects_bad_json_and_nonfinite():
     doc = json.dumps(DOC).replace('"n": 1', '"n": NaN')
     with pytest.raises(GraphFormatError):
         load_graph(doc)
-    with pytest.raises(GraphFormatError):
-        load_graph(json.dumps(DOC), format="csv")
 
 
 def test_parse_vertex_set():

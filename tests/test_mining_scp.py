@@ -6,10 +6,12 @@ import pytest
 import walkmine.graph as graphmod
 from helpers import color_graph, color_names, mine_all, name_program, vs
 from walkmine.bitset import VertexSet
+from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
 from walkmine.mining import MiningConfig
 from walkmine.oracle import brute_force_mine_scp
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
+from walkmine.stp import mine_exact_stp, mine_feasible_stp
 
 
 def test_funnel_exact(funnel):
@@ -155,6 +157,20 @@ def test_program_cap_stops_the_stream():
     total = sum(len(r.programs) for r in reports)
     assert total == 1
     assert reports[-1].length < 3
+
+
+def test_program_cap_counts_empty_program_and_marks_cut_off():
+    # ε counts toward max_programs, and a stream that stops early ends on a
+    # report marked cut off
+    miners = (mine_exact_scp, mine_feasible_scp, mine_exact_stp, mine_feasible_stp)
+    for seed in range(1000, 1050):
+        inst = random_instance(seed)
+        for miner in miners:
+            cfg = MiningConfig(max_len=3, max_programs=1)
+            reports = list(miner(inst.graph, inst.source, inst.target, cfg))
+            assert sum(len(r.programs) for r in reports) <= 1, (seed, miner.__name__)
+            if reports[-1].length < 3:
+                assert reports[-1].exhausted is False, (seed, miner.__name__)
 
 
 def test_determinism(funnel):
