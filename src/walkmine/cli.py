@@ -8,11 +8,11 @@ import sys
 from pathlib import Path
 
 from .bitset import VertexSet
-from .criterion import criterion_from_dict, criterion_to_dict
+from .criterion import criterion_from_dict
 from .generate import random_instance, write_instance
 from .graph import DirectedGraph, MultiGraph, convert_multigraph
 from .graphio import GraphFormatError, load_graph, parse_vertex_set, serialize_graph, to_dot
-from .mining import MiningConfig, MiningReport
+from .mining import MiningConfig, MiningReport, render_program
 from .oracle import CapExceededError, brute_force_mine_scp
 from .scp import classify_scp, mine_exact_scp, mine_feasible_scp, simulate_scp
 from .stp import TosetProgram, classify_stp, mine_exact_stp, mine_feasible_stp, simulate_stp
@@ -29,11 +29,15 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {e.strerror or e}") from None
 
 
-def _load_simple_graph(args) -> DirectedGraph:
+def _load_graph(args):
     try:
-        g = load_graph(_read_text(args.graph), color_dim=args.color_dim)
+        return load_graph(_read_text(args.graph), color_dim=args.color_dim)
     except GraphFormatError as e:
         raise CliError(f"{args.graph}: {e}") from None
+
+
+def _load_simple_graph(args) -> DirectedGraph:
+    g = _load_graph(args)
     if isinstance(g, MultiGraph):
         raise CliError(f"{args.graph} is a multigraph; run 'convert' first")
     return g
@@ -94,16 +98,11 @@ def _names(g: DirectedGraph, vs: VertexSet) -> list[str]:
     return [g.names[v] for v in vs]
 
 
-def _render_program(g, program) -> object:
-    if isinstance(program, TosetProgram):
-        return program.to_dict(g)
-    return [g.color_names[c] for c in program]
-
-
-def _program_line(g, program) -> str:
-    if isinstance(program, TosetProgram):
-        return json.dumps(program.to_dict(g)) if program.steps else "ε"
-    return "·".join(g.color_names[c] for c in program) if program else "ε"
+def _program_line(rendered: list) -> str:
+    """Text form of a rendered program: colours joined by '·', criteria as JSON."""
+    if not rendered:
+        return "ε"
+    return "·".join(rendered) if isinstance(rendered[0], str) else json.dumps(rendered)
 
 
 # -- mine ----------------------------------------------------------------------
@@ -139,8 +138,7 @@ def _cmd_mine(args) -> int:
             status = "complete" if report["exhausted"] else "cut off"
             print(f"length {report['length']}: {len(report['programs'])} program(s), {status}")
             for p in report["programs"]:
-                line = "·".join(p) if p and isinstance(p[0], str) else json.dumps(p)
-                print(f"  {line if p else 'ε'}")
+                print(f"  {_program_line(p)}")
     return 0 if found else 1
 
 
@@ -162,7 +160,7 @@ def _classification_dict(g, cls, program) -> dict:
         "kind": cls.kind,
         "halt_step": cls.halt_step,
         "partial_halt_steps": list(cls.partial_halt_steps),
-        "program": _render_program(g, program),
+        "program": render_program(g, program),
         "trace": [_names(g, level) for level in cls.trace],
     }
 
@@ -171,7 +169,7 @@ def _print_classification(g, cls, program, output: str):
     if output == "json":
         print(json.dumps(_classification_dict(g, cls, program)))
         return
-    print(f"program: {_program_line(g, program)}")
+    print(f"program: {_program_line(render_program(g, program))}")
     print(f"kind: {cls.kind}" + (f" (halted at step {cls.halt_step})" if cls.halt_step is not None else ""))
     halts = " ".join(map(str, cls.partial_halt_steps)) or "none"
     print(f"partial halts: {halts}")
@@ -215,7 +213,7 @@ def _cmd_simulate(args) -> int:
         sys.stdout.write(to_dot(g, source=source, target=target, trace=trace))
     elif args.output == "json":
         print(json.dumps({
-            "program": _render_program(g, program),
+            "program": render_program(g, program),
             "trace": [_names(g, level) for level in trace],
         }))
     else:
@@ -228,10 +226,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    try:
-        g = load_graph(_read_text(args.graph), color_dim=args.color_dim)
-    except GraphFormatError as e:
-        raise CliError(f"{args.graph}: {e}") from None
+    g = _load_graph(args)
     if isinstance(g, MultiGraph):
         g = convert_multigraph(g)
     text = serialize_graph(g)
@@ -325,10 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .graph import CATEGORICAL, ORDERED, FeatureSchema
@@ -86,13 +85,6 @@ class InseparableError(ValueError):
         super().__init__(f"inseparable: vector {witness_b!r} appears on both sides")
 
 
-def _gini(pos: int, neg: int) -> Fraction:
-    n = pos + neg
-    if n == 0:
-        return Fraction(0)
-    return 1 - Fraction(pos * pos + neg * neg, n * n)
-
-
 def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) -> Criterion:
     """A criterion satisfied by every vector of B and none of E.
 
@@ -120,64 +112,23 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
         if len(t) != width:
             raise ValueError("vector width differs from schema")
 
-    pts = list(points.items())
-    # global per-dimension value tables, interned in first-appearance order
-    cat_order: list[list] = [[] for _ in range(width)]
-    present_values: list[set] = [set() for _ in range(width)]
-    for vec, _ in pts:
-        for d in range(width):
-            if vec[d] is None:
-                continue
-            present_values[d].add(vec[d])
-            if schema.kind_of(d) == CATEGORICAL and vec[d] not in cat_order[d]:
-                cat_order[d].append(vec[d])
+    vecs = list(points)
+    labels = list(points.values())
+    # per-dimension non-missing values, in first-appearance order
+    values = [list(dict.fromkeys(v[d] for v in vecs if v[d] is not None)) for d in range(width)]
 
     def candidates(idxs):
         for d in range(width):
-            seen = {pts[i][0][d] for i in idxs}
+            seen = {vecs[i][d] for i in idxs}
             if schema.kind_of(d) == ORDERED:
                 for v in sorted(x for x in seen if x is not None):
                     yield Atom(d, "<=", v)
             else:
-                for v in cat_order[d]:
+                for v in values[d]:
                     if v in seen:
                         yield Atom(d, "=", v)
             if None in seen:
                 yield Atom(d, "=", None)
-
-    def build(idxs):
-        labels = [pts[i][1] for i in idxs]
-        if all(l == 1 for l in labels):
-            return ("leaf", True)
-        if all(l != 1 for l in labels):
-            return ("leaf", False)
-        pos = sum(1 for l in labels if l == 1)
-        neg = sum(1 for l in labels if l == -1)
-        parent = _gini(pos, neg)
-        total = pos + neg
-        best = None
-        best_score = None
-        for atom in candidates(idxs):
-            true_side = [i for i in idxs if satisfies(pts[i][0], atom)]
-            if not true_side or len(true_side) == len(idxs):
-                continue
-            false_side = [i for i in idxs if not satisfies(pts[i][0], atom)]
-            tp = sum(1 for i in true_side if pts[i][1] == 1)
-            tn = sum(1 for i in true_side if pts[i][1] == -1)
-            fp, fn = pos - tp, neg - tn
-            score = parent
-            if total:
-                score = (
-                    parent
-                    - Fraction(tp + tn, total) * _gini(tp, tn)
-                    - Fraction(fp + fn, total) * _gini(fp, fn)
-                )
-            if best is None or score > best_score:
-                best, best_score = (atom, true_side, false_side), score
-        atom, true_side, false_side = best
-        return ("node", atom, build(true_side), build(false_side))
-
-    root = build(list(range(len(pts))))
 
     def complement(atom: Atom) -> Criterion:
         d = atom.dim
@@ -185,28 +136,49 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
             return AnyOf((Atom(d, ">", atom.value), Atom(d, "=", None)))
         if atom.value is None:
             if schema.kind_of(d) == ORDERED:
-                return Atom(d, "<=", max(present_values[d]))
-            return AnyOf(tuple(Atom(d, "=", v) for v in cat_order[d]))
-        items = [Atom(d, "=", v) for v in cat_order[d] if v != atom.value]
+                return Atom(d, "<=", max(values[d]))
+            return AnyOf(tuple(Atom(d, "=", v) for v in values[d]))
+        items = [Atom(d, "=", v) for v in values[d] if v != atom.value]
         items.append(Atom(d, "=", None))
         return AnyOf(tuple(items))
 
     paths: list[list] = []
 
-    def walk(node, acc):
-        if node[0] == "leaf":
-            if node[1]:
-                paths.append(list(acc))
+    def grow(idxs, path):
+        node = [labels[i] for i in idxs]
+        pos, neg = node.count(1), node.count(-1)
+        if pos == len(idxs):
+            paths.append(path)
             return
-        _, atom, true_child, false_child = node
-        walk(true_child, acc + [atom])
-        walk(false_child, acc + [complement(atom)])
+        if pos == 0:
+            return
+        # A split's Gini gain is parent - 1 + S/total, where
+        # S = (tp²+tn²)/(tp+tn) + (fp²+fn²)/(fp+fn) and an empty side adds 0,
+        # so the largest S wins; compare S = num/den by cross-multiplying.
+        # The strict > keeps the first candidate on a tie.
+        best = None
+        for atom in candidates(idxs):
+            true_side, false_side = [], []
+            for i in idxs:
+                (true_side if satisfies(vecs[i], atom) else false_side).append(i)
+            if not true_side or not false_side:
+                continue
+            side = [labels[i] for i in true_side]
+            tp, tn = side.count(1), side.count(-1)
+            fp, fn = pos - tp, neg - tn
+            a, c = (tp + tn) or 1, (fp + fn) or 1
+            num, den = (tp * tp + tn * tn) * c + (fp * fp + fn * fn) * a, a * c
+            if best is None or num * best[1] > best[0] * den:
+                best = (num, den, atom, true_side, false_side)
+        _, _, atom, true_side, false_side = best
+        grow(true_side, path + [atom])
+        grow(false_side, path + [complement(atom)])
 
-    walk(root, [])
+    grow(list(range(len(vecs))), [])
     if paths == [[]]:
         # every point is a B point: pin down the B vectors exactly
         disjuncts = []
-        for vec, label in pts:
+        for vec, label in points.items():
             if label == 1:
                 atoms = tuple(Atom(d, "=", vec[d]) for d in range(width))
                 disjuncts.append(atoms[0] if len(atoms) == 1 else AllOf(atoms))

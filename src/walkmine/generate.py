@@ -58,6 +58,10 @@ def random_instance(
     instances usually admit at least one exact program. Deterministic in
     ``seed``.
     """
+    for name, value, least in (("max_vertices", max_vertices, 4), ("max_colors", max_colors, 2),
+                               ("extra_dims", extra_dims, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rng = random.Random(seed)
     n = rng.randint(4, max_vertices)
     k = rng.randint(2, min(max_colors, len(_COLOR_POOL)))

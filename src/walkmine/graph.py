@@ -66,9 +66,6 @@ class FeatureSchema:
     def kind_of(self, dim: int) -> str:
         return self.dims[dim].kind
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dims)
-
 
 def _check_value(kind: str, value, where: str):
     if value is None:
@@ -154,9 +151,6 @@ class DirectedGraph:
         if name not in self._ids:
             raise KeyError(f"no vertex named {name!r}")
         return self._ids[name]
-
-    def vertex_name(self, v: int) -> str:
-        return self.names[v]
 
     def has_vertex(self, name: str) -> bool:
         return name in self._ids

@@ -77,13 +77,19 @@ class Budget:
             self.tripped = True
         return not self.tripped
 
-    def charge_program(self) -> bool:
+    def charge_program(self):
         if self.tripped:
-            return False
+            return
         self.programs += 1
         if self._max_programs is not None and self.programs >= self._max_programs:
             self.tripped = True
-        return True
+
+
+def render_program(g: DirectedGraph, program) -> list:
+    """JSON form of a program: colour names, or one criterion dict per step."""
+    if isinstance(program, tuple):
+        return [g.color_names[c] for c in program]
+    return program.to_dict(g)
 
 
 @dataclass
@@ -98,18 +104,12 @@ class MiningReport:
     stats: dict = field(default_factory=dict)
 
     def to_dict(self, g: DirectedGraph) -> dict:
-        rendered = []
-        for p in self.programs:
-            if isinstance(p, tuple):
-                rendered.append([g.color_names[c] for c in p])
-            else:
-                rendered.append(p.to_dict(g))
         return {
             "engine": self.engine,
             "mode": self.mode,
             "length": self.length,
             "exhausted": self.exhausted,
-            "programs": rendered,
+            "programs": [render_program(g, p) for p in self.programs],
             "stats": dict(self.stats),
         }
 

@@ -81,6 +81,20 @@ def test_mine_stp_engine(capsys):
     ]
 
 
+def test_mine_stp_text(capsys):
+    code, out, _ = run(
+        capsys, "mine", "--graph", TWOFEATURE, "--source-ids", "s",
+        "--target-ids", "t1", "--max-len", "2", "--engine", "stp", "--output", "text",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "length 0: 0 program(s), complete",
+        "length 1: 0 program(s), complete",
+        "length 2: 1 program(s), complete",
+        '  [{"atom": {"f": "n", "op": "<=", "v": 1}}, {"atom": {"f": "n", "op": "<=", "v": 2}}]',
+    ]
+
+
 def test_verify_expectations(capsys):
     base = (
         "verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
@@ -258,6 +272,9 @@ def test_gen_deterministic(capsys, tmp_path):
           "--program", "red", "--color-dim", "nope"), "colour dimension"),
         (("simulate", "--graph", FUNNEL, "--source", FUNNEL_SOURCE,
           "--program", "red", "--color-dim", "nope"), "colour dimension"),
+        (("gen", "--seed", "1", "--max-vertices", "3"), "max_vertices"),
+        (("gen", "--seed", "1", "--max-colors", "1"), "max_colors"),
+        (("gen", "--seed", "1", "--extra-dims", "-2"), "extra_dims"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -210,3 +211,25 @@ def test_serialization_roundtrip():
 def test_from_dict_rejects_malformed(doc):
     with pytest.raises(ValueError):
         criterion_from_dict(doc, CN)
+
+
+def test_split_choices_pinned_on_mixed_kinds():
+    # which criterion wins, ties included, on categorical and ordered
+    # dimensions with missing values; one marker line per inseparable triple
+    rng = random.Random(41)
+    lines = []
+    for _ in range(2000):
+        sch = FeatureSchema(tuple(
+            Dimension(f"d{i}", rng.choice((CATEGORICAL, ORDERED)))
+            for i in range(rng.randint(1, 4))
+        ))
+        b = [random_vector(rng, sch) for _ in range(rng.randint(1, 5))]
+        m = [random_vector(rng, sch) for _ in range(rng.randint(0, 4))]
+        e = [random_vector(rng, sch) for _ in range(rng.randint(0, 5))]
+        try:
+            lines.append(criterion_key(compute_criterion(b, m, e, sch), sch))
+        except InseparableError:
+            lines.append("inseparable")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert lines.count("inseparable") == 401
+    assert digest == "bb5a056278d4ae9baf162208bbb0b1803239b233716e00cc658b9b0360ece44e"
