@@ -112,17 +112,16 @@ def _cmd_mine(args) -> int:
     g = _load_simple_graph(args)
     source = _vertex_set(g, args.source, args.source_ids, "source")
     target = _vertex_set(g, args.target, args.target_ids, "target")
-    found = 0
+    config = MiningConfig(
+        max_len=args.max_len,
+        max_programs=args.max_programs,
+        max_triples=args.max_triples,
+        time_budget=args.time_budget,
+        fidelity=args.fidelity,
+    )
     if args.engine == "oracle":
-        reports = _oracle_reports(g, source, target, args)
+        reports = _oracle_reports(g, source, target, config, args.mode)
     else:
-        config = MiningConfig(
-            max_len=args.max_len,
-            max_programs=args.max_programs,
-            max_triples=args.max_triples,
-            time_budget=args.time_budget,
-            fidelity=args.fidelity,
-        )
         miner = {
             ("scp", "exact"): mine_exact_scp,
             ("scp", "feasible"): mine_feasible_scp,
@@ -130,6 +129,7 @@ def _cmd_mine(args) -> int:
             ("stp", "feasible"): mine_feasible_stp,
         }[(args.engine, args.mode)]
         reports = miner(g, source, target, config)
+    found = 0
     for report in (r.to_dict(g) for r in reports):
         found += len(report["programs"])
         if args.output == "json":
@@ -142,14 +142,14 @@ def _cmd_mine(args) -> int:
     return 0 if found else 1
 
 
-def _oracle_reports(g, source, target, args):
-    for length in range(args.max_len + 1):
+def _oracle_reports(g, source, target, config, mode):
+    for length in range(config.max_len + 1):
         try:
             exact, feasible = brute_force_mine_scp(g, source, target, length)
         except CapExceededError as e:
             raise CliError(str(e)) from None
-        programs = sorted(exact if args.mode == "exact" else feasible)
-        yield MiningReport("oracle", args.mode, length, programs, True, {})
+        programs = sorted(exact if mode == "exact" else feasible)
+        yield MiningReport("oracle", mode, length, programs, True, {})
 
 
 # -- verify / simulate ----------------------------------------------------------

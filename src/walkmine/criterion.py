@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .graph import CATEGORICAL, ORDERED, FeatureSchema
@@ -247,6 +248,14 @@ class TosetProgram:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # states hash their program on every lookup; criterion trees rehash fully
+        return hash(self.steps)
 
     def to_dict(self, g) -> list:
         return [criterion_to_dict(c, g.schema) for c in self.steps]

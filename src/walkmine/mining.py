@@ -172,18 +172,17 @@ def start_states(target: int, mode: str, empty) -> list:
     return [(empty, B, target) for B in starts]
 
 
-def backward_level(engine, empty, source, target, mode, expand, accept):
+def backward_level(engine, empty, target, mode, expand, accept):
     """Level callback of a repaired search: breadth-first over states (p, B, M).
 
     A state says that any start set between B and M runs the suffix program
     ``p`` into the target; the search starts from :func:`start_states`.
     ``expand(state, length, positions, stats)`` yields the states one step
-    longer; a state is dropped if seen before at this length. A state with
-    ``len(p) == length`` and B ⊆ S ⊆ M is a candidate, and ``accept(p)``
-    returns its sort key if it is a program of the mode, else None. Each
+    longer; a state is dropped if seen before at this length. The last step
+    back yields at most (p, S, S) for the source set S, and ``accept(p)``
+    returns its sort key if p is a program of the mode, else None. Each
     popped state charges the budget.
     """
-    S = source.mask
     expanded = _STATS[engine][0]
     seeds = start_states(target.mask, mode, empty)
 
@@ -195,13 +194,12 @@ def backward_level(engine, empty, source, target, mode, expand, accept):
         while queue and budget.charge_triple():
             state = queue.popleft()
             stats[expanded] += 1
-            p, B, M = state
+            p = state[0]
             if len(p) == length:
-                if B & ~S == 0 and S & ~M == 0 and p not in found:
-                    key = accept(p)
-                    if key is not None:
-                        found[p] = key
-                        budget.charge_program()
+                key = accept(p)
+                if key is not None:
+                    found[p] = key
+                    budget.charge_program()
                 continue
             for nxt in expand(state, length, positions, stats):
                 if nxt in seen:

@@ -123,13 +123,8 @@ def enumerate_pseudo_bases(
 
 def _mono_color(g: DirectedGraph, mask: int) -> Optional[int]:
     """The single colour shared by every vertex in ``mask``, if any."""
-    present = g.colors_in(mask)
-    if len(present) != 1:
-        return None
-    c = present[0]
-    if mask & ~g.color_mask(c):
-        return None  # some member is uncoloured
-    return c
+    c = g.color_of((mask & -mask).bit_length() - 1) if mask else -1
+    return c if c >= 0 and mask & ~g.color_mask(c) == 0 else None
 
 
 def mine_exact_scp(g, source, target, config: MiningConfig) -> Iterator[MiningReport]:
@@ -157,16 +152,18 @@ def _scp_level(g, source, target, mode):
         if c is None:
             return
         base = positions[length - n - 1]
-        inb = g.in_image(B)
-        if length == n + 1:
-            branches = [base]
-        else:
-            branches = [g.color_mask(d) & base for d in g.colors_in(base & inb)]
         # vertices whose c-image leaves M
         unsafe = g.in_image(g.color_mask(c) & ~M)
         newp = (c,) + p
-        for branch in branches:
-            safe = branch & ~unsafe
+        if n + 1 == length:
+            # last step back: test S itself (positions[1] is its image; B is c-coloured)
+            if base & unsafe == 0 and B & ~positions[1] == 0:
+                stats["pseudo_bases"] += 1
+                yield (newp, base, base)
+            return
+        inb = g.in_image(B)
+        for d in g.colors_in(base & inb):
+            safe = g.color_mask(d) & base & ~unsafe
             if not safe:
                 continue
             for basis in pseudo_bases(g, safe & inb, B, M, c):
@@ -176,4 +173,4 @@ def _scp_level(g, source, target, mode):
     def accept(p):
         return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level("scp", (), source, target, mode, expand, accept)
+    return backward_level("scp", (), target, mode, expand, accept)

@@ -32,15 +32,11 @@ def select_by_criterion(g: DirectedGraph, A: VertexSet, crit: Criterion) -> Vert
     return VertexSet(g.n, mask)
 
 
-def _steps_of(program) -> tuple:
-    return program.steps if isinstance(program, TosetProgram) else tuple(program)
-
-
 def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet]:
     """Endpoint trace E0..En of a criterion program run from ``source``."""
     trace = [source]
     cur = source
-    for crit in _steps_of(program):
+    for crit in getattr(program, "steps", program):
         cur = select_by_criterion(g, VertexSet(g.n, g.out_image(cur.mask)), crit)
         trace.append(cur)
     return trace
@@ -105,19 +101,19 @@ def _stp_level(g, source, target, mode):
 
     def expand(state, length, positions, stats):
         p, B, M = state
-        dist = len(p)
-        safe = _filtered_frontier(g, positions[length - dist - 1], B, M)
-        pool = safe & g.in_image(B)
-        # Bases that will receive a criterion stay vector-homogeneous, so each
-        # synthesized step selects a single feature class; the head state's
-        # base gets no criterion and may mix classes.
-        pools = [pool] if dist + 1 == length else _class_masks(g, pool)
-        bases = []
-        for sub in pools:
-            candidates = [(v, g.out_mask(v) & B) for v in iter_bits(sub)]
-            for ids in minimal_covers(B, candidates):
-                stats["pseudo_bases"] += 1
-                bases.append(mask_of(ids))
+        base = positions[length - len(p) - 1]
+        safe = _filtered_frontier(g, base, B, M)
+        if len(p) + 1 == length:
+            # last step back: test S itself (kept whole; positions[1] is its image)
+            bases = [base] if safe == base and B & ~positions[1] == 0 else []
+        else:
+            # bases stay vector-homogeneous, so each synthesized step selects
+            # a single feature class
+            bases = []
+            for sub in _class_masks(g, safe & g.in_image(B)):
+                candidates = [(v, g.out_mask(v) & B) for v in iter_bits(sub)]
+                bases += map(mask_of, minimal_covers(B, candidates))
+        stats["pseudo_bases"] += len(bases)
         if not bases:
             return []
         # every new state has M = safe, so the step's E side is what safe can
@@ -134,4 +130,4 @@ def _stp_level(g, source, target, mode):
     def accept(p):
         return p.key(g) if classify_stp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level("stp", TosetProgram(()), source, target, mode, expand, accept)
+    return backward_level("stp", TosetProgram(()), target, mode, expand, accept)

@@ -275,6 +275,10 @@ def test_gen_deterministic(capsys, tmp_path):
         (("gen", "--seed", "1", "--max-vertices", "3"), "max_vertices"),
         (("gen", "--seed", "1", "--max-colors", "1"), "max_colors"),
         (("gen", "--seed", "1", "--extra-dims", "-2"), "extra_dims"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "-1", "--engine", "oracle"), "max_len"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--engine", "oracle", "--max-programs", "0"), "max_programs"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):

@@ -8,7 +8,7 @@ from helpers import color_graph, color_names, mine_all, name_program, vs
 from walkmine.bitset import VertexSet
 from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
-from walkmine.mining import MiningConfig
+from walkmine.mining import MiningConfig, render_program
 from walkmine.oracle import brute_force_mine_scp
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
 from walkmine.stp import mine_exact_stp, mine_feasible_stp
@@ -256,3 +256,26 @@ def test_dense_limit_crossing_keeps_reports_and_speed(monkeypatch):
     assert [r.to_dict(masks) for r in mine_feasible_scp(masks, S, T, cfg)] == fast
     assert any(rep["programs"] for rep in fast)
     assert elapsed < 2.0, f"edge-array path took {elapsed:.2f} s"
+
+
+def _last_step_gadget(m):
+    """m red targets, each with two blue predecessors; the source is all 2m blues."""
+    blues = [f"b{i}_{k}" for i in range(m) for k in (0, 1)]
+    reds = [f"r{i}" for i in range(m)]
+    edges = [(b, f"r{i}") for i in range(m) for b in blues[2 * i:2 * i + 2]]
+    g = color_graph(blues + reds, ["blue"] * len(blues) + ["red"] * m, edges)
+    return g, vs(g, *blues), vs(g, *reds)
+
+
+@pytest.mark.parametrize("miner", [mine_exact_scp, mine_exact_stp])
+def test_last_step_tests_the_source_itself(miner):
+    """S has 2^m minimal covers of T; the last step back tests S once instead."""
+    g, S, T = _last_step_gadget(16)
+    reports = mine_all(miner, g, S, T, MiningConfig(max_len=1))
+    (p,) = reports[1].programs
+    assert render_program(g, p) in (["red"], [{"atom": {"f": "color", "op": "=", "v": "red"}}])
+    assert reports[1].stats["pseudo_bases"] == 1
+    start = time.monotonic()
+    capped = mine_all(miner, g, S, T, MiningConfig(max_len=1, time_budget=0.05))
+    assert time.monotonic() - start < 0.5
+    assert capped[1].programs == [p] and capped[1].exhausted

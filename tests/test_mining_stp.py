@@ -1,9 +1,14 @@
+import hashlib
+import json
 import random
 
 import walkmine.criterion
 import walkmine.stp
 from helpers import mine_all, name_program, trace_names, vs
 from walkmine import (
+    AllOf,
+    AnyOf,
+    Atom,
     MiningConfig,
     classify_stp,
     mine_exact_scp,
@@ -26,9 +31,9 @@ def test_funnel_frozen_program(funnel):
     assert p.to_dict(g) == [ATOM("color", "=", "red"), ATOM("color", "=", "green")]
     assert reports[2].exhausted
     assert reports[2].stats == {
-        "chains_expanded": 5,
+        "chains_expanded": 4,
         "pseudo_bases": 4,
-        "dedup_hits": 0,
+        "dedup_hits": 1,
         "inseparable": 0,
     }
     cls = classify_stp(g, S, T, p)
@@ -118,12 +123,17 @@ def test_report_serialization(funnel):
     assert data["programs"] == [[ATOM("color", "=", "red"), ATOM("color", "=", "green")]]
 
 
-def test_criteria_synthesised_once_per_state(monkeypatch):
-    """Each step criterion is built once per expanded state, not per chain."""
+def _planted_layered():
+    """Six layers of eight with one planted length-5 exact program."""
     g = layered_graph([8] * 6, ["red", "green", "blue"], 3, seed=1)
     S = g.vertex_set(range(8))
     planted = name_program(g, "green", "blue", "red", "green", "blue")
-    T = simulate_scp(g, S, planted)[-1]
+    return g, S, simulate_scp(g, S, planted)[-1]
+
+
+def test_criteria_synthesised_once_per_state(monkeypatch):
+    """Each step criterion is built once per expanded state, not per chain."""
+    g, S, T = _planted_layered()
     calls = {"compute_criterion": 0, "classify_stp": 0}
 
     def counted(name, fn):
@@ -143,6 +153,26 @@ def test_criteria_synthesised_once_per_state(monkeypatch):
     states = sum(r.stats["chains_expanded"] for r in reports)
     assert 0 < calls["compute_criterion"] <= states
     assert calls["classify_stp"] == 1
+
+
+def test_program_hash_cached(monkeypatch):
+    """Looking a state up hashes its program without re-walking the criterion trees."""
+    g, S, T = _planted_layered()
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(self):
+            calls[0] += 1
+            return fn(self)
+
+        return wrapper
+
+    for cls in (Atom, AllOf, AnyOf):
+        monkeypatch.setattr(cls, "__hash__", counted(cls.__hash__))
+    reports = list(mine_exact_stp(g, S, T, MiningConfig(max_len=5)))
+    assert [len(r.programs) for r in reports] == [0, 0, 0, 0, 0, 1]
+    states = sum(r.stats["chains_expanded"] for r in reports)
+    assert 0 < calls[0] <= 6 * states
 
 
 def test_determinism(threestep):
@@ -171,3 +201,21 @@ def test_mined_programs_reclassify():
                         assert cls.succeeded
                     checked += 1
     assert checked > 40
+
+
+def test_repaired_programs_pinned_on_feature_graphs():
+    """Uncapped repaired program lists on graphs with two ordered dimensions.
+
+    The acceptance gates check ``stp`` on such graphs for soundness only; the
+    digest pins each report's length, ``exhausted`` flag and program keys
+    over both modes.
+    """
+    digest = hashlib.sha256()
+    for seed in range(1000, 1050):
+        inst = random_instance(seed, extra_dims=2)
+        g, S, T = inst.graph, inst.source, inst.target
+        for miner in (mine_exact_stp, mine_feasible_stp):
+            for rep in miner(g, S, T, MiningConfig(max_len=3)):
+                keys = [list(p.key(g)) for p in rep.programs]
+                digest.update(json.dumps([rep.length, rep.exhausted, keys]).encode() + b"\n")
+    assert digest.hexdigest() == "c76350a483067d7c74c257e0a7cd51ba9806a1ca33c9b1e3c7bf00d5d71c1f4e"
