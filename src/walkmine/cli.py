@@ -120,6 +120,8 @@ def _cmd_mine(args) -> int:
         fidelity=args.fidelity,
     )
     if args.engine == "oracle":
+        if (config.max_programs, config.max_triples, config.time_budget) != (None, None, None):
+            raise CliError("the oracle enumerates every program and takes no caps")
         reports = _oracle_reports(g, source, target, config, args.mode)
     else:
         miner = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .graph import CATEGORICAL, ORDERED, FeatureSchema
+from .graph import ORDERED, FeatureSchema, _check_value
 
 OPS = ("<", "<=", "=", ">=", ">")
 
@@ -226,12 +226,7 @@ def criterion_from_dict(doc, schema: FeatureSchema) -> Criterion:
         raise ValueError(f"unknown operator {op!r}")
     if op != "=" and schema.kind_of(dim) != ORDERED:
         raise ValueError(f"order comparison on categorical feature {raw['f']!r}")
-    if value is not None:
-        kind = schema.kind_of(dim)
-        if kind == ORDERED and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ValueError(f"feature {raw['f']!r} needs a numeric value")
-        if kind == CATEGORICAL and not isinstance(value, str):
-            raise ValueError(f"feature {raw['f']!r} needs a string value")
+    _check_value(schema.kind_of(dim), value, f"feature {raw['f']!r}")
     return Atom(dim, op, value)
 
 

@@ -101,7 +101,7 @@ def random_instance(
         planted = 0
         for _ in range(walk_len):
             image = g.out_image(cur)
-            present = [c for c in range(g.num_colors) if image & g.color_mask(c)]
+            present = g.colors_in(image)
             if not present:
                 break
             cur = image & g.color_mask(rng.choice(present))

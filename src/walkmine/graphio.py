@@ -123,17 +123,10 @@ def load_graph(text: Union[str, bytes], color_dim: str = "color") -> Graph:
         feats = None
         if "features" in entry:
             multi = True
-            raw = entry["features"]
-            if not isinstance(raw, dict):
+            feats = entry["features"]
+            if not isinstance(feats, dict):
                 _fail(where, "'features' must be an object")
-            for fname, fvalue in raw.items():
-                if not schema.has(fname):
-                    _fail(where, f"unknown feature {fname!r}")
-                try:
-                    _check_value(schema.kind_of(schema.index(fname)), fvalue, f"feature {fname!r}")
-                except ValueError as e:
-                    _fail(where, str(e))
-            feats = raw
+            _load_features(feats, schema, where)
         pair = (ids[src], ids[dst])
         if pair in seen_pairs:
             multi = True

@@ -15,7 +15,7 @@ from collections import deque
 from .bitset import iter_bits, mask_of
 from .criterion import InseparableError, TosetProgram, compute_criterion
 from .mining import EXACT, start_states, zero_stats
-from .setcover import minimal_covers, pseudo_bases
+from .setcover import cover_masks, pseudo_bases
 
 
 def _scp_seeds(g, target: int, mode: str) -> list:
@@ -105,14 +105,10 @@ def stp_level(g, source, target, mode):
                 carry.append(chain)
                 continue
             pool = _strict_filter(g, g.in_image(B) & positions[length - n], B, M)
-            candidates = []
-            for v in iter_bits(pool):
-                out = g.out_mask(v)
-                if out & ~M == 0:
-                    candidates.append((v, out & B))
-            for ids in minimal_covers(B, candidates):
+            inside = mask_of(v for v in iter_bits(pool) if g.out_mask(v) & ~M == 0)
+            for basis in cover_masks(g, B, inside):
                 stats["pseudo_bases"] += 1
-                queue.append(((mask_of(ids), pool, n),) + chain)
+                queue.append(((basis, pool, n),) + chain)
         found: dict = {}
         for chain in accepted:
             elements = [(B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:]]

@@ -9,6 +9,7 @@ from typing import Callable, Iterator, Optional
 
 from .bitset import VertexSet, iter_bits
 from .graph import DirectedGraph
+from .setcover import cover_masks
 
 REPAIRED = "repaired"
 LITERAL = "literal"
@@ -172,16 +173,17 @@ def start_states(target: int, mode: str, empty) -> list:
     return [(empty, B, target) for B in starts]
 
 
-def backward_level(engine, empty, target, mode, expand, accept):
+def backward_level(g, engine, empty, target, mode, expand, accept):
     """Level callback of a repaired search: breadth-first over states (p, B, M).
 
     A state says that any start set between B and M runs the suffix program
     ``p`` into the target; the search starts from :func:`start_states`.
-    ``expand(state, length, positions, stats)`` yields the states one step
-    longer; a state is dropped if seen before at this length. The last step
-    back yields at most (p, S, S) for the source set S, and ``accept(p)``
-    returns its sort key if p is a program of the mode, else None. Each
-    popped state charges the budget.
+    ``expand(state, length, positions, stats)`` yields ``(newp, pool, keep)``,
+    and each base drawn from the pool gives a state (newp, base, keep) unless
+    seen before at this length. The bases are B's minimal covers in the pool;
+    in the last two steps back, where the next step reads a base only through
+    its class, the pool itself if its image covers B. ``accept(p)`` returns a
+    program's sort key, or None. Each popped state charges the budget.
     """
     expanded = _STATS[engine][0]
     seeds = start_states(target.mask, mode, empty)
@@ -194,19 +196,27 @@ def backward_level(engine, empty, target, mode, expand, accept):
         while queue and budget.charge_triple():
             state = queue.popleft()
             stats[expanded] += 1
-            p = state[0]
+            p, B, _ = state
             if len(p) == length:
                 key = accept(p)
                 if key is not None:
                     found[p] = key
                     budget.charge_program()
                 continue
-            for nxt in expand(state, length, positions, stats):
-                if nxt in seen:
-                    stats["dedup_hits"] += 1
-                    continue
-                seen.add(nxt)
-                queue.append(nxt)
+            for newp, pool, keep in expand(state, length, positions, stats):
+                if len(newp) + 1 < length:
+                    bases = cover_masks(g, B, pool)
+                else:
+                    image = positions[1] if len(newp) == length else g.out_image(pool)
+                    bases = [pool] if B & ~image == 0 else []
+                for basis in bases:
+                    stats["pseudo_bases"] += 1
+                    nxt = (newp, basis, keep)
+                    if nxt in seen:
+                        stats["dedup_hits"] += 1
+                        continue
+                    seen.add(nxt)
+                    queue.append(nxt)
         return sorted(found, key=found.__getitem__), stats
 
     return level

@@ -156,21 +156,16 @@ def _scp_level(g, source, target, mode):
         unsafe = g.in_image(g.color_mask(c) & ~M)
         newp = (c,) + p
         if n + 1 == length:
-            # last step back: test S itself (positions[1] is its image; B is c-coloured)
-            if base & unsafe == 0 and B & ~positions[1] == 0:
-                stats["pseudo_bases"] += 1
+            # last step back: the pool is S itself
+            if base & unsafe == 0:
                 yield (newp, base, base)
             return
         inb = g.in_image(B)
         for d in g.colors_in(base & inb):
             safe = g.color_mask(d) & base & ~unsafe
-            if not safe:
-                continue
-            for basis in pseudo_bases(g, safe & inb, B, M, c):
-                stats["pseudo_bases"] += 1
-                yield (newp, basis, safe)
+            yield (newp, safe & inb, safe)
 
     def accept(p):
         return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level("scp", (), target, mode, expand, accept)
+    return backward_level(g, "scp", (), target, mode, expand, accept)

@@ -47,18 +47,19 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
     return results
 
 
+def cover_masks(g, B: int, pool: int) -> list[int]:
+    """Minimal subsets of ``pool`` whose out-neighbourhoods cover B, as int
+    masks over ``g``'s vertices, in lexicographic order of sorted member ids."""
+    candidates = [(v, g.out_mask(v) & B) for v in iter_bits(pool)]
+    return [mask_of(ids) for ids in minimal_covers(B, candidates)]
+
+
 def pseudo_bases(g, pool: int, B: int, M: int, c: int) -> list[int]:
     """Minimal subsets of ``pool`` whose c-image covers B without leaving M.
 
-    All sets are int masks over the vertices of graph ``g``. Members whose own
-    c-image leaks outside M are excluded up front; the union of per-member
-    images stays in M exactly when each one does. Returned in lexicographic
-    order of sorted member ids.
+    Members whose own c-image leaks outside M are excluded up front; the
+    union of per-member images stays in M exactly when each one does.
     """
     cmask = g.color_mask(c)
-    candidates = []
-    for v in iter_bits(pool):
-        img = g.out_mask(v) & cmask
-        if img & ~M == 0:
-            candidates.append((v, img & B))
-    return [mask_of(ids) for ids in minimal_covers(B, candidates)]
+    inside = mask_of(v for v in iter_bits(pool) if g.out_mask(v) & cmask & ~M == 0)
+    return [] if B & ~cmask else cover_masks(g, B, inside)

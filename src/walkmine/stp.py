@@ -20,6 +20,7 @@ from .criterion import Criterion, InseparableError, TosetProgram, compute_criter
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_level, run_levels
 from .scp import Classification, classify_trace
+# unused here, but bench/test_reference.py reads stp.minimal_covers
 from .setcover import minimal_covers
 
 
@@ -104,17 +105,14 @@ def _stp_level(g, source, target, mode):
         base = positions[length - len(p) - 1]
         safe = _filtered_frontier(g, base, B, M)
         if len(p) + 1 == length:
-            # last step back: test S itself (kept whole; positions[1] is its image)
-            bases = [base] if safe == base and B & ~positions[1] == 0 else []
+            # last step back: the pool is S itself
+            pools = [base] if safe == base else []
         else:
-            # bases stay vector-homogeneous, so each synthesized step selects
+            # pools stay vector-homogeneous, so each synthesized step selects
             # a single feature class
-            bases = []
-            for sub in _class_masks(g, safe & g.in_image(B)):
-                candidates = [(v, g.out_mask(v) & B) for v in iter_bits(sub)]
-                bases += map(mask_of, minimal_covers(B, candidates))
-        stats["pseudo_bases"] += len(bases)
-        if not bases:
+            pools = _class_masks(g, safe & g.in_image(B))
+        pools = [pool for pool in pools if B & ~g.out_image(pool) == 0]
+        if not pools:
             return []
         # every new state has M = safe, so the step's E side is what safe can
         # reach outside M, and the step's criterion is the same for all of them
@@ -125,9 +123,9 @@ def _stp_level(g, source, target, mode):
             stats["inseparable"] += 1
             return []
         newp = TosetProgram((crit,) + p.steps)
-        return [(newp, basis, safe) for basis in bases]
+        return [(newp, pool, safe) for pool in pools]
 
     def accept(p):
         return p.key(g) if classify_stp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level("stp", TosetProgram(()), target, mode, expand, accept)
+    return backward_level(g, "stp", TosetProgram(()), target, mode, expand, accept)

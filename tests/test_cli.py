@@ -12,6 +12,8 @@ FUNNEL = str(FIXTURES / "funnel.graph.json")
 FUNNEL_SOURCE = str(FIXTURES / "funnel.source")
 FUNNEL_TARGET = str(FIXTURES / "funnel.target")
 TWOFEATURE = str(FIXTURES / "twofeature.graph.json")
+TWOFEATURE_SOURCE = str(FIXTURES / "twofeature.source")
+TWOFEATURE_TARGET = str(FIXTURES / "twofeature.target")
 
 STEP_PROGRAM = json.dumps(
     [
@@ -279,6 +281,14 @@ def test_gen_deterministic(capsys, tmp_path):
           "--max-len", "-1", "--engine", "oracle"), "max_len"),
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
           "--max-len", "2", "--engine", "oracle", "--max-programs", "0"), "max_programs"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--engine", "oracle", "--max-programs", "1"), "no caps"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--engine", "oracle", "--max-triples", "5"), "no caps"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--engine", "oracle", "--time-budget", "1"), "no caps"),
+        (("verify", "--graph", TWOFEATURE, "--source", TWOFEATURE_SOURCE, "--target", TWOFEATURE_TARGET,
+          "--engine", "stp", "--program", '[{"atom": {"f": "n", "op": "<=", "v": NaN}}]'), "non-finite"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):

@@ -206,6 +206,9 @@ def test_serialization_roundtrip():
         {"all": []},
         {"any": "x"},
         {"all": [{"atom": {"f": "n", "op": "<=", "v": 1}}], "extra": 1},
+        {"atom": {"f": "n", "op": "<=", "v": float("nan")}},
+        {"atom": {"f": "n", "op": ">", "v": float("inf")}},
+        {"atom": {"f": "n", "op": "=", "v": float("-inf")}},
     ],
 )
 def test_from_dict_rejects_malformed(doc):

@@ -84,6 +84,8 @@ def test_multigraph_roundtrip():
         (lambda d: d["edges"].append({"src": "u", "dst": "nowhere"}), "edges[2]"),
         (lambda d: d["edges"].append({"src": "u"}), "edges[2]"),
         (lambda d: d["edges"].append({"src": "u", "dst": "v", "features": {"zap": 1}}), "edges[2]"),
+        (lambda d: d["edges"].append({"src": "u", "dst": "v", "features": None}), "edges[2]"),
+        (lambda d: d["edges"].append({"src": "u", "dst": "v", "features": {"n": "high"}}), "edges[2]"),
     ],
 )
 def test_error_locations(mangle, location):

@@ -258,24 +258,40 @@ def test_dense_limit_crossing_keeps_reports_and_speed(monkeypatch):
     assert elapsed < 2.0, f"edge-array path took {elapsed:.2f} s"
 
 
-def _last_step_gadget(m):
-    """m red targets, each with two blue predecessors; the source is all 2m blues."""
+def _last_step_gadget(m, green=False):
+    """m red targets, each with two blue predecessors; the source is all 2m
+    blues, or with ``green`` one green vertex that feeds every blue."""
     blues = [f"b{i}_{k}" for i in range(m) for k in (0, 1)]
     reds = [f"r{i}" for i in range(m)]
     edges = [(b, f"r{i}") for i in range(m) for b in blues[2 * i:2 * i + 2]]
-    g = color_graph(blues + reds, ["blue"] * len(blues) + ["red"] * m, edges)
-    return g, vs(g, *blues), vs(g, *reds)
+    names, colours = blues + reds, ["blue"] * len(blues) + ["red"] * m
+    if green:
+        names, colours = names + ["s"], colours + ["green"]
+        edges += [("s", b) for b in blues]
+    g = color_graph(names, colours, edges)
+    return g, vs(g, "s") if green else vs(g, *blues), vs(g, *reds)
 
 
-@pytest.mark.parametrize("miner", [mine_exact_scp, mine_exact_stp])
-def test_last_step_tests_the_source_itself(miner):
-    """S has 2^m minimal covers of T; the last step back tests S once instead."""
-    g, S, T = _last_step_gadget(16)
-    reports = mine_all(miner, g, S, T, MiningConfig(max_len=1))
-    (p,) = reports[1].programs
-    assert render_program(g, p) in (["red"], [{"atom": {"f": "color", "op": "=", "v": "red"}}])
-    assert reports[1].stats["pseudo_bases"] == 1
+@pytest.mark.parametrize(
+    "miner,green",
+    [
+        pytest.param(miner, green, id=miner.__name__ + ("-green" if green else ""))
+        for green in (False, True)
+        for miner in (mine_exact_scp, mine_exact_stp)
+    ],
+)
+def test_last_step_tests_the_source_itself(miner, green):
+    """The blues hold 2^m minimal covers of T; the last two steps back test
+    one whole pool each instead."""
+    g, S, T = _last_step_gadget(16, green)
+    colours = ["blue", "red"] if green else ["red"]
+    n = len(colours)
+    reports = mine_all(miner, g, S, T, MiningConfig(max_len=n))
+    (p,) = reports[n].programs
+    criteria = [{"atom": {"f": "color", "op": "=", "v": c}} for c in colours]
+    assert render_program(g, p) in (colours, criteria)
+    assert reports[n].stats["pseudo_bases"] == n
     start = time.monotonic()
-    capped = mine_all(miner, g, S, T, MiningConfig(max_len=1, time_budget=0.05))
+    capped = mine_all(miner, g, S, T, MiningConfig(max_len=n, time_budget=0.05))
     assert time.monotonic() - start < 0.5
-    assert capped[1].programs == [p] and capped[1].exhausted
+    assert capped[n].programs == [p] and capped[n].exhausted

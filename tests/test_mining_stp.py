@@ -31,9 +31,9 @@ def test_funnel_frozen_program(funnel):
     assert p.to_dict(g) == [ATOM("color", "=", "red"), ATOM("color", "=", "green")]
     assert reports[2].exhausted
     assert reports[2].stats == {
-        "chains_expanded": 4,
-        "pseudo_bases": 4,
-        "dedup_hits": 1,
+        "chains_expanded": 3,
+        "pseudo_bases": 2,
+        "dedup_hits": 0,
         "inseparable": 0,
     }
     cls = classify_stp(g, S, T, p)
