@@ -8,7 +8,9 @@ reports and the SHA-256 of the whole stream, then the same for each (engine,
 fidelity) group, then for the uncapped repaired ``scp`` and ``stp`` reports
 with their ``stats`` dropped. Two commits whose digests match gave
 byte-identical reports on the corpus; the group lines show which reports a
-change moved.
+change moved. A last group, outside the total, digests the verify path: on
+every instance with ``extra_dims`` above 0 it classifies and simulates a
+fixed seeded batch of random criterion programs, one JSON line each.
 Run it from a checkout with the package on the path:
 
     PYTHONPATH=src python3 scripts/report_digest.py [--dump FILE]
@@ -19,11 +21,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 
+from walkmine.criterion import AllOf, AnyOf, Atom, TosetProgram
 from walkmine.generate import random_instance
+from walkmine.graph import ORDERED
 from walkmine.mining import MiningConfig
 from walkmine.scp import mine_exact_scp, mine_feasible_scp
-from walkmine.stp import mine_exact_stp, mine_feasible_stp
+from walkmine.stp import classify_stp, mine_exact_stp, mine_feasible_stp, simulate_stp
 
 MINERS = (
     ("scp", 4, mine_exact_scp),
@@ -33,6 +38,43 @@ MINERS = (
 )
 FIDELITIES = ("repaired", "literal")
 STATS_FREE = {engine: f"{engine} repaired uncapped, no stats" for engine in ("scp", "stp")}
+VERIFY = "stp classify and simulate, random programs"
+PROGRAMS_PER_INSTANCE = 8
+
+
+def random_programs(g, seed: int) -> list:
+    """A seeded batch of criterion programs of lengths 1-3 over ``g``'s values.
+
+    Atoms compare against values that occur in the graph, or test for a
+    missing value; criteria nest conjunctions and disjunctions two deep.
+    """
+    rng = random.Random(seed)
+    values = [sorted({row[d] for row in g.rows} - {None}) for d in range(len(g.schema))]
+
+    def atom():
+        d = rng.randrange(len(g.schema))
+        if g.schema.kind_of(d) == ORDERED and values[d] and rng.random() < 0.6:
+            return Atom(d, rng.choice(("<", "<=", ">=", ">")), rng.choice(values[d]))
+        return Atom(d, "=", rng.choice(values[d] + [None]))
+
+    def crit(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.5:
+            return atom()
+        items = tuple(crit(depth - 1) for _ in range(rng.randint(2, 3)))
+        return AllOf(items) if roll < 0.75 else AnyOf(items)
+
+    return [TosetProgram(tuple(crit(2) for _ in range(rng.randint(1, 3))))
+            for _ in range(PROGRAMS_PER_INSTANCE)]
+
+
+def verify_lines(seed, extra_dims, g, S, T):
+    """One JSON line per random program: its verdict and its simulated trace."""
+    for i, program in enumerate(random_programs(g, seed * 10 + extra_dims)):
+        verdict = classify_stp(g, S, T, program)
+        trace = [list(level) for level in simulate_stp(g, S, program)]
+        yield json.dumps([[seed, extra_dims, i], program.to_dict(g), verdict.kind, verdict.halt_step,
+                          list(verdict.partial_halt_steps), trace])
 
 
 def stream():
@@ -41,6 +83,9 @@ def stream():
         for extra_dims in (0, 1, 2):
             inst = random_instance(seed, extra_dims=extra_dims)
             g, S, T = inst.graph, inst.source, inst.target
+            if extra_dims:
+                for line in verify_lines(seed, extra_dims, g, S, T):
+                    yield [VERIFY], line
             for engine, max_len, miner in MINERS:
                 for fidelity in FIDELITIES:
                     for max_triples in (None, 7):
@@ -59,7 +104,7 @@ def main():
     parser.add_argument("--dump", help="also write the stream's JSON lines to this file")
     args = parser.parse_args()
     names = ["total"] + [f"{e} {f}" for e in ("scp", "stp") for f in FIDELITIES]
-    names += STATS_FREE.values()
+    names += [*STATS_FREE.values(), VERIFY]
     digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(names, 0)
     dump = open(args.dump, "w", encoding="utf-8") if args.dump else None

@@ -17,6 +17,7 @@ from .criterion import (
     compute_criterion,
     criterion_from_dict,
     criterion_key,
+    criterion_mask,
     criterion_to_dict,
     satisfies,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "covers",
     "criterion_from_dict",
     "criterion_key",
+    "criterion_mask",
     "criterion_to_dict",
     "enumerate_pseudo_bases",
     "in_neighbors",

@@ -11,13 +11,16 @@ decision tree and reading off the B-leaf paths. A criterion program
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .graph import ORDERED, FeatureSchema, _check_value
+from .bitset import iter_bits, mask_of
+from .graph import ORDERED, DirectedGraph, FeatureSchema, _check_value
 
 OPS = ("<", "<=", "=", ">=", ">")
+_ORDER = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -62,19 +65,46 @@ def satisfies(vector: Sequence, crit: Criterion) -> bool:
         x = vector[crit.dim]
         if crit.op == "=":
             return x == crit.value
-        if x is None:
-            return False
-        if crit.op == "<":
-            return x < crit.value
-        if crit.op == "<=":
-            return x <= crit.value
-        if crit.op == ">=":
-            return x >= crit.value
-        return x > crit.value
+        return x is not None and _ORDER[crit.op](x, crit.value)
     if isinstance(crit, AllOf):
         return all(satisfies(vector, item) for item in crit.items)
     if isinstance(crit, AnyOf):
         return any(satisfies(vector, item) for item in crit.items)
+    raise TypeError(f"not a criterion: {crit!r}")
+
+
+def _atom_mask(rows: Sequence[Sequence], d: int, op: str, value) -> int:
+    """Mask of the indices of ``rows`` whose vectors satisfy the atom (d, op, value)."""
+    if op == "=":
+        return mask_of(i for i, row in enumerate(rows) if row[d] == value)
+    cmp = _ORDER[op]
+    return mask_of(i for i, row in enumerate(rows) if row[d] is not None and cmp(row[d], value))
+
+
+def criterion_mask(g: DirectedGraph, crit: Criterion) -> int:
+    """Mask of the vertices of ``g`` whose feature vectors satisfy ``crit``.
+
+    Each atom's mask is built in one pass over ``g.rows`` the first time it
+    is asked for and cached on the graph; conjunctions and disjunctions fold
+    their items' masks with ``&`` and ``|``.
+    """
+    if isinstance(crit, Atom):
+        mask = g._atom_masks.get(crit)
+        if mask is None:
+            if not 0 <= crit.dim < len(g.schema):
+                raise ValueError(f"criterion references dimension {crit.dim} outside the schema")
+            mask = g._atom_masks[crit] = _atom_mask(g.rows, crit.dim, crit.op, crit.value)
+        return mask
+    if isinstance(crit, AllOf):
+        mask = (1 << g.n) - 1
+        for item in crit.items:
+            mask &= criterion_mask(g, item)
+        return mask
+    if isinstance(crit, AnyOf):
+        mask = 0
+        for item in crit.items:
+            mask |= criterion_mask(g, item)
+        return mask
     raise TypeError(f"not a criterion: {crit!r}")
 
 
@@ -114,22 +144,25 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
             raise ValueError("vector width differs from schema")
 
     vecs = list(points)
-    labels = list(points.values())
+    b_mask = mask_of(i for i, label in enumerate(points.values()) if label == 1)
+    e_mask = mask_of(i for i, label in enumerate(points.values()) if label == -1)
     # per-dimension non-missing values, in first-appearance order
     values = [list(dict.fromkeys(v[d] for v in vecs if v[d] is not None)) for d in range(width)]
 
-    def candidates(idxs):
+    def candidates(node):
+        """Candidate atoms for a node's split, as (dim, op, value) keys."""
+        members = [vecs[i] for i in iter_bits(node)]
         for d in range(width):
-            seen = {vecs[i][d] for i in idxs}
+            seen = {vec[d] for vec in members}
             if schema.kind_of(d) == ORDERED:
                 for v in sorted(x for x in seen if x is not None):
-                    yield Atom(d, "<=", v)
+                    yield d, "<=", v
             else:
                 for v in values[d]:
                     if v in seen:
-                        yield Atom(d, "=", v)
+                        yield d, "=", v
             if None in seen:
-                yield Atom(d, "=", None)
+                yield d, "=", None
 
     def complement(atom: Atom) -> Criterion:
         d = atom.dim
@@ -144,11 +177,11 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
         return AnyOf(tuple(items))
 
     paths: list[list] = []
+    point_masks: dict = {}  # atom key -> mask of the points satisfying it
 
-    def grow(idxs, path):
-        node = [labels[i] for i in idxs]
-        pos, neg = node.count(1), node.count(-1)
-        if pos == len(idxs):
+    def grow(node, path):
+        pos, neg = (node & b_mask).bit_count(), (node & e_mask).bit_count()
+        if node & ~b_mask == 0:
             paths.append(path)
             return
         if pos == 0:
@@ -158,24 +191,25 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
         # so the largest S wins; compare S = num/den by cross-multiplying.
         # The strict > keeps the first candidate on a tie.
         best = None
-        for atom in candidates(idxs):
-            true_side, false_side = [], []
-            for i in idxs:
-                (true_side if satisfies(vecs[i], atom) else false_side).append(i)
-            if not true_side or not false_side:
+        for key in candidates(node):
+            mask = point_masks.get(key)
+            if mask is None:
+                mask = point_masks[key] = _atom_mask(vecs, *key)
+            true_side = node & mask
+            if true_side == 0 or true_side == node:
                 continue
-            side = [labels[i] for i in true_side]
-            tp, tn = side.count(1), side.count(-1)
+            tp, tn = (true_side & b_mask).bit_count(), (true_side & e_mask).bit_count()
             fp, fn = pos - tp, neg - tn
             a, c = (tp + tn) or 1, (fp + fn) or 1
             num, den = (tp * tp + tn * tn) * c + (fp * fp + fn * fn) * a, a * c
             if best is None or num * best[1] > best[0] * den:
-                best = (num, den, atom, true_side, false_side)
-        _, _, atom, true_side, false_side = best
+                best = (num, den, key, true_side)
+        _, _, key, true_side = best
+        atom = Atom(*key)
         grow(true_side, path + [atom])
-        grow(false_side, path + [complement(atom)])
+        grow(node & ~true_side, path + [complement(atom)])
 
-    grow(list(range(len(vecs))), [])
+    grow((1 << len(vecs)) - 1, [])
     if paths == [[]]:
         # every point is a B point: pin down the B vectors exactly
         disjuncts = []

@@ -144,6 +144,9 @@ class DirectedGraph:
         self._color_ids: dict[str, int] = {}
         self._vcolor: Optional[tuple[int, ...]] = None
         self._color_masks: Optional[list[int]] = None
+        # criterion atom -> mask of the vertices satisfying it, filled by
+        # criterion.criterion_mask
+        self._atom_masks: dict = {}
 
     # -- identity ---------------------------------------------------------
 

@@ -182,8 +182,9 @@ def backward_level(g, engine, empty, target, mode, expand, accept):
     and each base drawn from the pool gives a state (newp, base, keep) unless
     seen before at this length. The bases are B's minimal covers in the pool;
     in the last two steps back, where the next step reads a base only through
-    its class, the pool itself if its image covers B. ``accept(p)`` returns a
-    program's sort key, or None. Each popped state charges the budget.
+    its class, the pool itself, which ``expand`` yields there only if its
+    image covers B. ``accept(p)`` returns a program's sort key, or None.
+    Each popped state charges the budget.
     """
     expanded = _STATS[engine][0]
     seeds = start_states(target.mask, mode, empty)
@@ -204,11 +205,7 @@ def backward_level(g, engine, empty, target, mode, expand, accept):
                     budget.charge_program()
                 continue
             for newp, pool, keep in expand(state, length, positions, stats):
-                if len(newp) + 1 < length:
-                    bases = cover_masks(g, B, pool)
-                else:
-                    image = positions[1] if len(newp) == length else g.out_image(pool)
-                    bases = [pool] if B & ~image == 0 else []
+                bases = cover_masks(g, B, pool) if len(newp) + 1 < length else [pool]
                 for basis in bases:
                     stats["pseudo_bases"] += 1
                     nxt = (newp, basis, keep)

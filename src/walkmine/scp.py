@@ -156,14 +156,17 @@ def _scp_level(g, source, target, mode):
         unsafe = g.in_image(g.color_mask(c) & ~M)
         newp = (c,) + p
         if n + 1 == length:
-            # last step back: the pool is S itself
-            if base & unsafe == 0:
+            # last step back: the pool is S itself, and its image is positions[1]
+            if base & unsafe == 0 and B & ~positions[1] == 0:
                 yield (newp, base, base)
             return
         inb = g.in_image(B)
         for d in g.colors_in(base & inb):
             safe = g.color_mask(d) & base & ~unsafe
-            yield (newp, safe & inb, safe)
+            pool = safe & inb
+            # one step before the last the pool itself is the base, so it must cover B
+            if n + 2 < length or B & ~g.out_image(pool) == 0:
+                yield (newp, pool, safe)
 
     def accept(p):
         return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None

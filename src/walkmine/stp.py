@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import literal
 from .bitset import VertexSet, iter_bits, mask_of
-from .criterion import Criterion, InseparableError, TosetProgram, compute_criterion, satisfies
+from .criterion import Criterion, InseparableError, TosetProgram, compute_criterion, criterion_mask
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_level, run_levels
 from .scp import Classification, classify_trace
@@ -26,20 +26,16 @@ from .setcover import minimal_covers
 
 def select_by_criterion(g: DirectedGraph, A: VertexSet, crit: Criterion) -> VertexSet:
     """Subset of ``A`` whose feature vectors satisfy the criterion."""
-    mask = 0
-    for v in A:
-        if satisfies(g.rows[v], crit):
-            mask |= 1 << v
-    return VertexSet(g.n, mask)
+    return VertexSet(g.n, A.mask & criterion_mask(g, crit))
 
 
 def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet]:
     """Endpoint trace E0..En of a criterion program run from ``source``."""
     trace = [source]
-    cur = source
+    cur = source.mask
     for crit in getattr(program, "steps", program):
-        cur = select_by_criterion(g, VertexSet(g.n, g.out_image(cur.mask)), crit)
-        trace.append(cur)
+        cur = g.out_image(cur) & criterion_mask(g, crit)
+        trace.append(VertexSet(g.n, cur))
     return trace
 
 
@@ -104,14 +100,16 @@ def _stp_level(g, source, target, mode):
         p, B, M = state
         base = positions[length - len(p) - 1]
         safe = _filtered_frontier(g, base, B, M)
+        # keep only pools whose image covers B, so that no criterion is
+        # synthesised for a state without successors
         if len(p) + 1 == length:
-            # last step back: the pool is S itself
-            pools = [base] if safe == base else []
+            # last step back: the pool is S itself, and its image is positions[1]
+            pools = [base] if safe == base and B & ~positions[1] == 0 else []
         else:
             # pools stay vector-homogeneous, so each synthesized step selects
             # a single feature class
             pools = _class_masks(g, safe & g.in_image(B))
-        pools = [pool for pool in pools if B & ~g.out_image(pool) == 0]
+            pools = [pool for pool in pools if B & ~g.out_image(pool) == 0]
         if not pools:
             return []
         # every new state has M = safe, so the step's E side is what safe can

@@ -11,10 +11,14 @@ from walkmine.criterion import (
     compute_criterion,
     criterion_from_dict,
     criterion_key,
+    criterion_mask,
     criterion_to_dict,
     satisfies,
 )
-from walkmine.graph import CATEGORICAL, ORDERED, Dimension, FeatureSchema
+from walkmine.bitset import VertexSet, mask_of
+from walkmine.generate import random_instance
+from walkmine.graph import _DENSE_LIMIT, CATEGORICAL, ORDERED, Dimension, DirectedGraph, FeatureSchema
+from walkmine.stp import select_by_criterion, simulate_stp
 
 CN = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
 N1 = FeatureSchema((Dimension("n", ORDERED),))
@@ -236,3 +240,64 @@ def test_split_choices_pinned_on_mixed_kinds():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert lines.count("inseparable") == 401
     assert digest == "bb5a056278d4ae9baf162208bbb0b1803239b233716e00cc658b9b0360ece44e"
+
+
+def _random_criterion(rng, g, kinds, depth=2):
+    """A random criterion over ``g``'s schema; ``kinds`` collects the atom kinds drawn."""
+    roll = rng.random()
+    if depth and roll < 0.4:
+        items = tuple(_random_criterion(rng, g, kinds, depth - 1) for _ in range(rng.randint(1, 3)))
+        return AllOf(items) if roll < 0.2 else AnyOf(items)
+    d = rng.randrange(len(g.schema))
+    if g.schema.kind_of(d) == CATEGORICAL:
+        value = rng.choice(sorted({row[d] for row in g.rows} - {None}) + ["absent", None])
+        kinds.add("categorical")
+        return Atom(d, "=", value)
+    op = rng.choice(("<", "<=", "=", ">=", ">"))
+    if op == "=" and rng.random() < 0.3:
+        kinds.add("= None")
+        return Atom(d, "=", None)
+    if op != "=" and any(row[d] is None for row in g.rows):
+        kinds.add("order on missing values")
+    return Atom(d, op, rng.randint(-1, 10))
+
+
+def _tiled(g, at_least):
+    """Copies of ``g`` side by side until the graph has ``at_least`` vertices."""
+    k = -(-at_least // g.n)
+    names = [f"{name}#{i}" for i in range(k) for name in g.names]
+    edges = [(s + i * g.n, d + i * g.n) for i in range(k) for s, d in g.edges()]
+    return DirectedGraph(g.schema, names, g.rows * k, edges)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["bitmask", "edge-array"])
+def test_criterion_mask_agrees_with_satisfies(dense):
+    rng = random.Random(11)
+    kinds: set = set()
+    graphs = [random_instance(seed, extra_dims=2).graph for seed in range(3000, 3020)]
+    if not dense:
+        graphs = [_tiled(graphs[0], _DENSE_LIMIT)]
+    assert all((g.n < _DENSE_LIMIT) == dense for g in graphs)
+    for g in graphs:
+        for _ in range(60 if dense else 40):
+            crit = _random_criterion(rng, g, kinds)
+            want = mask_of(v for v, row in enumerate(g.rows) if satisfies(row, crit))
+            assert criterion_mask(g, crit) == want, crit
+            A = VertexSet(g.n, rng.getrandbits(g.n))
+            assert select_by_criterion(g, A, crit) == VertexSet(g.n, A.mask & want)
+        program = [_random_criterion(rng, g, kinds, depth=0) for _ in range(3)]
+        cur = rng.getrandbits(g.n)
+        trace = [VertexSet(g.n, cur)]
+        for crit in program:
+            out = g.out_image(cur)
+            cur = mask_of(v for v in range(g.n) if out >> v & 1 and satisfies(g.rows[v], crit))
+            trace.append(VertexSet(g.n, cur))
+        assert simulate_stp(g, trace[0], program) == trace
+    assert kinds == {"categorical", "= None", "order on missing values"}
+
+
+def test_criterion_mask_rejects_dimensions_outside_the_schema():
+    g = random_instance(3000, extra_dims=1).graph
+    for dim in (-1, 2):
+        with pytest.raises(ValueError, match="outside the schema"):
+            criterion_mask(g, AnyOf((Atom(0, "=", None), Atom(dim, "=", None))))

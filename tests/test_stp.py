@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import color_graph, feature_graph, vs
-from walkmine.criterion import AllOf, Atom
+from walkmine.criterion import AllOf, Atom, criterion_mask
 from walkmine.stp import (
     TosetProgram,
     classify_stp,
@@ -35,6 +35,32 @@ def test_select_by_criterion():
     g2 = two_dim_graph()
     crit = AllOf((Atom(0, "=", "red"), Atom(1, "<=", 3)))
     assert select_by_criterion(g2, g2.full_set(), crit) == vs(g2, "a1")
+
+
+def test_out_of_schema_dimension_raises_on_an_empty_frontier():
+    g = funnel_graph()
+    S, T = vs(g, "t"), vs(g, "t")  # t has no out-neighbours
+    for program in ((Atom(1, "=", "red"),), (Atom(0, "=", "red"), Atom(-1, "<=", 3))):
+        with pytest.raises(ValueError, match="outside the schema"):
+            simulate_stp(g, S, program)
+        with pytest.raises(ValueError, match="outside the schema"):
+            classify_stp(g, S, T, program)
+
+
+def test_atom_masks_stay_with_their_graph():
+    g = funnel_graph()
+    recoloured = color_graph(
+        ["s1", "s2", "a", "b", "c", "t"],
+        ["blue", "blue", "red", "blue", "red", "green"],
+        [("s1", "a"), ("s2", "b"), ("a", "t"), ("b", "t"), ("a", "c")],
+    )
+    red = Atom(0, "=", "red")
+    assert criterion_mask(g, red) == vs(g, "a", "b").mask
+    assert criterion_mask(recoloured, red) == vs(recoloured, "a", "c").mask
+    assert criterion_mask(g, red) == vs(g, "a", "b").mask
+    S = vs(g, "s1", "s2")
+    assert simulate_stp(g, S, (red,))[-1] == vs(g, "a", "b")
+    assert simulate_stp(recoloured, S, (red,))[-1] == vs(recoloured, "a")
 
 
 def test_simulate_matches_colour_walk():
