@@ -8,9 +8,13 @@ reports and the SHA-256 of the whole stream, then the same for each (engine,
 fidelity) group, then for the uncapped repaired ``scp`` and ``stp`` reports
 with their ``stats`` dropped. Two commits whose digests match gave
 byte-identical reports on the corpus; the group lines show which reports a
-change moved. A last group, outside the total, digests the verify path: on
-every instance with ``extra_dims`` above 0 it classifies and simulates a
-fixed seeded batch of random criterion programs, one JSON line each.
+change moved. Two groups outside the total follow. The verify group
+classifies and simulates a fixed seeded batch of random criterion programs on
+every instance with ``extra_dims`` above 0, one JSON line each. The
+edge-array pair covers the graphs' numpy edge-array path, which no corpus
+graph is large enough to take: the seeds 1000-1029 slice is mined again on
+graphs built with ``graph._DENSE_LIMIT`` patched to 0, and its digest must
+equal that of the same slice's reports on the int-mask path.
 Run it from a checkout with the package on the path:
 
     PYTHONPATH=src python3 scripts/report_digest.py [--dump FILE]
@@ -22,7 +26,9 @@ import argparse
 import hashlib
 import json
 import random
+import sys
 
+from walkmine import graph
 from walkmine.criterion import AllOf, AnyOf, Atom, TosetProgram
 from walkmine.generate import random_instance
 from walkmine.graph import ORDERED
@@ -39,6 +45,9 @@ MINERS = (
 FIDELITIES = ("repaired", "literal")
 STATS_FREE = {engine: f"{engine} repaired uncapped, no stats" for engine in ("scp", "stp")}
 VERIFY = "stp classify and simulate, random programs"
+EDGE_ARRAYS = "seeds 1000-1029 on edge arrays"
+EDGE_MASKS = "seeds 1000-1029 on int masks"
+EDGE_SEEDS = range(1000, 1030)
 PROGRAMS_PER_INSTANCE = 8
 
 
@@ -77,26 +86,48 @@ def verify_lines(seed, extra_dims, g, S, T):
                           list(verdict.partial_halt_steps), trace])
 
 
+def instance(seed, extra_dims, edge_arrays=False):
+    """The corpus instance, its graph built on edge arrays when asked."""
+    limit = graph._DENSE_LIMIT
+    if edge_arrays:
+        graph._DENSE_LIMIT = 0
+    try:
+        inst = random_instance(seed, extra_dims=extra_dims)
+    finally:
+        graph._DENSE_LIMIT = limit
+    assert inst.graph._vectorised == edge_arrays
+    return inst
+
+
+def report_lines(seed, extra_dims, g, S, T):
+    """(engine, head, report dict) per mined report; head names the run."""
+    for engine, max_len, miner in MINERS:
+        for fidelity in FIDELITIES:
+            for max_triples in (None, 7):
+                cfg = MiningConfig(max_len=max_len, max_triples=max_triples, fidelity=fidelity)
+                for rep in miner(g, S, T, cfg):
+                    yield engine, [seed, extra_dims, fidelity, max_triples], rep.to_dict(g)
+
+
 def stream():
     """(groups, JSON line) per report; a line belongs to each named group."""
     for seed in range(1000, 1150):
         for extra_dims in (0, 1, 2):
-            inst = random_instance(seed, extra_dims=extra_dims)
+            inst = instance(seed, extra_dims)
             g, S, T = inst.graph, inst.source, inst.target
             if extra_dims:
                 for line in verify_lines(seed, extra_dims, g, S, T):
                     yield [VERIFY], line
-            for engine, max_len, miner in MINERS:
-                for fidelity in FIDELITIES:
-                    for max_triples in (None, 7):
-                        cfg = MiningConfig(max_len=max_len, max_triples=max_triples, fidelity=fidelity)
-                        for rep in miner(g, S, T, cfg):
-                            head = [seed, extra_dims, fidelity, max_triples]
-                            doc = rep.to_dict(g)
-                            yield ["total", f"{engine} {fidelity}"], json.dumps([head, doc])
-                            if (fidelity, max_triples) == ("repaired", None):
-                                del doc["stats"]
-                                yield [STATS_FREE[engine]], json.dumps([head, doc])
+            sliced = [EDGE_MASKS] if seed in EDGE_SEEDS else []
+            for engine, head, doc in report_lines(seed, extra_dims, g, S, T):
+                yield ["total", f"{engine} {head[2]}", *sliced], json.dumps([head, doc])
+                if head[2:] == ["repaired", None]:
+                    del doc["stats"]
+                    yield [STATS_FREE[engine]], json.dumps([head, doc])
+            if sliced:
+                inst = instance(seed, extra_dims, edge_arrays=True)
+                for _, head, doc in report_lines(seed, extra_dims, inst.graph, inst.source, inst.target):
+                    yield [EDGE_ARRAYS], json.dumps([head, doc])
 
 
 def main():
@@ -104,7 +135,7 @@ def main():
     parser.add_argument("--dump", help="also write the stream's JSON lines to this file")
     args = parser.parse_args()
     names = ["total"] + [f"{e} {f}" for e in ("scp", "stp") for f in FIDELITIES]
-    names += [*STATS_FREE.values(), VERIFY]
+    names += [*STATS_FREE.values(), VERIFY, EDGE_ARRAYS, EDGE_MASKS]
     digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(names, 0)
     dump = open(args.dump, "w", encoding="utf-8") if args.dump else None
@@ -119,7 +150,11 @@ def main():
     for name in names:
         label = "" if name == "total" else f"{name}: "
         print(f"{label}reports {counts[name]} sha256 {digests[name].hexdigest()}")
+    if digests[EDGE_ARRAYS].digest() != digests[EDGE_MASKS].digest():
+        print("edge-array and int-mask reports differ", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -162,6 +162,7 @@ def _classification_dict(g, cls, program) -> dict:
         "kind": cls.kind,
         "halt_step": cls.halt_step,
         "partial_halt_steps": list(cls.partial_halt_steps),
+        "partial_halt_vertices": [_names(g, stuck) for stuck in cls.partial_halt_vertices],
         "program": render_program(g, program),
         "trace": [_names(g, level) for level in cls.trace],
     }
@@ -175,6 +176,8 @@ def _print_classification(g, cls, program, output: str):
     print(f"kind: {cls.kind}" + (f" (halted at step {cls.halt_step})" if cls.halt_step is not None else ""))
     halts = " ".join(map(str, cls.partial_halt_steps)) or "none"
     print(f"partial halts: {halts}")
+    for step, stuck in zip(cls.partial_halt_steps, cls.partial_halt_vertices):
+        print(f"  stuck at step {step}: {' '.join(_names(g, stuck))}")
     for i, level in enumerate(cls.trace):
         print(f"  E{i}: {' '.join(_names(g, level)) or '-'}")
 

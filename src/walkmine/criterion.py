@@ -290,5 +290,12 @@ class TosetProgram:
         return [criterion_to_dict(c, g.schema) for c in self.steps]
 
     def key(self, g) -> tuple[str, ...]:
-        return tuple(criterion_key(c, g.schema) for c in self.steps)
+        keys = g._criterion_keys
+        out = []
+        for c in self.steps:
+            key = keys.get(c)
+            if key is None:
+                key = keys[c] = criterion_key(c, g.schema)
+            out.append(key)
+        return tuple(out)
 

@@ -3,8 +3,10 @@
 Vertices carry a fixed-width feature vector described by a shared schema.
 One categorical dimension (by default the one named ``color``) is designated
 as the walk colour used by colour programs. Vertex sets are bitmasks, so all
-set-level neighbourhood operators are bulk bit operations; graphs with many
-vertices switch to a vectorised edge-array representation internally.
+set-level neighbourhood operators are bulk bit operations. Graphs with many
+vertices keep their out-edges and in-edges as numpy arrays in compressed
+sparse row (CSR) form instead, and an image there costs O(n/8) for the mask
+plus the edges of the active vertices' rows.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .bitset import VertexSet, iter_bits, mask_of
 CATEGORICAL = "categorical"
 ORDERED = "ordered"
 
-# Above this vertex count, adjacency is kept as numpy edge arrays instead of
-# per-vertex masks: image queries then cost O(E) numpy work, not python loops.
+# Above this vertex count, adjacency is kept as numpy CSR edge arrays instead
+# of per-vertex masks: an image costs O(n/8 + edges leaving the active
+# vertices) numpy work, not a python loop per vertex.
 _DENSE_LIMIT = 4096
 
 
@@ -125,10 +128,16 @@ class DirectedGraph:
         self.num_edges = len(uniq)
         self._vectorised = n >= _DENSE_LIMIT
         if self._vectorised:
-            self._src = np.fromiter((s for s, _ in uniq), dtype=np.int64, count=len(uniq))
-            self._dst = np.fromiter((d for _, d in uniq), dtype=np.int64, count=len(uniq))
+            src = np.fromiter((s for s, _ in uniq), dtype=np.int64, count=len(uniq))
+            dst = np.fromiter((d for _, d in uniq), dtype=np.int64, count=len(uniq))
             # uniq is sorted by source, so v's out-edges are _dst[_ptr[v]:_ptr[v + 1]]
-            self._ptr = np.searchsorted(self._src, np.arange(n + 1)).tolist()
+            # and its in-edges _in_src[_in_ptr[v]:_in_ptr[v + 1]]
+            bounds = np.arange(n + 1)
+            self._ptr = np.searchsorted(src, bounds)
+            self._dst = dst
+            by_dst = np.argsort(dst, kind="stable")
+            self._in_ptr = np.searchsorted(dst[by_dst], bounds)
+            self._in_src = src[by_dst]
             self._out_masks = None
             self._in_masks = None
         else:
@@ -147,6 +156,8 @@ class DirectedGraph:
         # criterion atom -> mask of the vertices satisfying it, filled by
         # criterion.criterion_mask
         self._atom_masks: dict = {}
+        # criterion -> its criterion_key, filled by TosetProgram.key
+        self._criterion_keys: dict = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -237,20 +248,28 @@ class DirectedGraph:
 
     # -- raw mask images ----------------------------------------------------
 
-    def _np_image(self, mask: int, src: np.ndarray, dst: np.ndarray) -> int:
-        nbytes = (self.n + 7) // 8
+    def _np_image(self, mask: int, ptr: np.ndarray, nbr: np.ndarray) -> int:
+        """Union of the CSR rows ``nbr[ptr[v]:ptr[v + 1]]`` of the vertices in ``mask``."""
+        n = self.n
         bits = np.unpackbits(
-            np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8),
+            np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+            count=n,
             bitorder="little",
-        )[: self.n].astype(bool)
-        hit = np.zeros(self.n, dtype=bool)
-        hit[dst[bits[src]]] = True
+        )
+        active = bits.view(bool).nonzero()[0]
+        starts = ptr[active]
+        lengths = ptr[active + 1] - starts
+        # position k of the gathered rows reads nbr[starts[row] + k - offset[row]]
+        shift = starts - (np.cumsum(lengths) - lengths)
+        picked = nbr[np.repeat(shift, lengths) + np.arange(int(lengths.sum()))]
+        hit = np.zeros(n, dtype=bool)
+        hit[picked] = True
         return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
     def out_image(self, mask: int) -> int:
         """Union of out-neighbourhoods of the vertices in ``mask``."""
         if self._vectorised:
-            return self._np_image(mask, self._src, self._dst)
+            return self._np_image(mask, self._ptr, self._dst)
         out = 0
         masks = self._out_masks
         for v in iter_bits(mask):
@@ -259,7 +278,7 @@ class DirectedGraph:
 
     def in_image(self, mask: int) -> int:
         if self._vectorised:
-            return self._np_image(mask, self._dst, self._src)
+            return self._np_image(mask, self._in_ptr, self._in_src)
         out = 0
         masks = self._in_masks
         for v in iter_bits(mask):

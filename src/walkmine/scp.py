@@ -26,16 +26,26 @@ COMPLETE_HALT = "complete_halt"
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of running a program: kind, halting data, full trace."""
+    """Outcome of running a program: kind, halting data, full trace.
+
+    ``partial_halt_masks`` holds, for each step i of ``partial_halt_steps``
+    in turn, the mask of the vertices of E_i that the step strands.
+    """
 
     kind: str
     halt_step: Optional[int] = None
     partial_halt_steps: tuple[int, ...] = ()
     trace: tuple[VertexSet, ...] = ()
+    partial_halt_masks: tuple[int, ...] = ()
 
     @property
     def succeeded(self) -> bool:
         return self.kind in (EXACT, FEASIBLE)
+
+    @property
+    def partial_halt_vertices(self) -> tuple[VertexSet, ...]:
+        """The stranded vertices of each partial-halt step, as vertex sets."""
+        return tuple(VertexSet(self.trace[0].size, mask) for mask in self.partial_halt_masks)
 
 
 def simulate_scp(g: DirectedGraph, source: VertexSet, program: tuple[int, ...]) -> list[VertexSet]:
@@ -56,7 +66,12 @@ def classify_trace(g: DirectedGraph, trace: list[VertexSet], target: VertexSet) 
     keeps part of E_i's out-image, so the kept vertices are E_{i+1}.
     """
     masks = [vs.mask for vs in trace]
-    partial = tuple(i for i in range(len(masks) - 1) if masks[i] & ~g.in_image(masks[i + 1]))
+    partial, stranded = [], []
+    for i in range(len(masks) - 1):
+        stuck = masks[i] & ~g.in_image(masks[i + 1])
+        if stuck:
+            partial.append(i)
+            stranded.append(stuck)
     halt = next((i for i in range(1, len(masks)) if not masks[i]), None)
     final = masks[-1]
     if halt is not None:
@@ -67,7 +82,7 @@ def classify_trace(g: DirectedGraph, trace: list[VertexSet], target: VertexSet) 
         kind = FEASIBLE
     else:
         kind = INFEASIBLE
-    return Classification(kind, halt, partial, tuple(trace))
+    return Classification(kind, halt, tuple(partial), tuple(trace), tuple(stranded))
 
 
 def classify_scp(

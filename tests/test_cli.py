@@ -124,6 +124,24 @@ def test_verify_json_output(capsys):
     assert doc["trace"] == [["s1", "s2"], ["a", "b"], ["t"]]
 
 
+def test_verify_names_partial_halt_vertices(capsys):
+    base = (
+        "verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+        "--program", "red,blue",
+    )
+    # a reaches blue c, but b has only the green t: b is stranded at step 1
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert "partial halts: 1\n  stuck at step 1: b\n" in out
+    code, out, _ = run(capsys, *base, "--output", "json")
+    doc = json.loads(out)
+    assert doc["kind"] == "infeasible"
+    assert doc["partial_halt_steps"] == [1] and doc["partial_halt_vertices"] == [["b"]]
+    code, out, _ = run(capsys, *base[:-1], "red,green", "--output", "json")
+    doc = json.loads(out)
+    assert doc["partial_halt_steps"] == [] and doc["partial_halt_vertices"] == []
+
+
 def test_verify_complete_halt(capsys):
     code, out, _ = run(
         capsys, "verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE,

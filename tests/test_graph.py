@@ -142,19 +142,29 @@ def test_vectorised_images_agree_with_mask_path(monkeypatch):
     rng = random.Random(11)
     n = 60
     edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(300)}
+    # sinks 0 and 7 (no out-edges), sources 3 and n-1 (no in-edges)
+    edges = {(s, d) for s, d in edges if s not in (0, 7) and d not in (3, n - 1)}
     schema = FeatureSchema((Dimension("color", CATEGORICAL),))
     names = [f"v{i}" for i in range(n)]
     rows = [("x",)] * n
     small = DirectedGraph(schema, names, rows, edges)
     monkeypatch.setattr(graphmod, "_DENSE_LIMIT", 10)
     big = DirectedGraph(schema, names, rows, edges)
-    assert big._vectorised and not small._vectorised
-    for _ in range(40):
-        probe = VertexSet.from_ids(n, [i for i in range(n) if rng.random() < 0.3])
-        assert big.out_image(probe.mask) == small.out_image(probe.mask)
-        assert big.in_image(probe.mask) == small.in_image(probe.mask)
+    bare = DirectedGraph(schema, names, rows, [])
+    assert big._vectorised and bare._vectorised and not small._vectorised
+    assert small.out_mask(0) == small.out_mask(7) == 0 and small.out_mask(n - 1)
+    assert small.in_image(1 << 3) == small.in_image(1 << (n - 1)) == 0
+    full = (1 << n) - 1
+    probes = [0, full] + [1 << v for v in range(n)]
+    probes += [VertexSet.from_ids(n, [i for i in range(n) if rng.random() < 0.3]).mask for _ in range(40)]
+    for mask in probes:
+        assert big.out_image(mask) == small.out_image(mask)
+        assert big.in_image(mask) == small.in_image(mask)
+        assert bare.out_image(mask) == bare.in_image(mask) == 0
+    assert small.out_image(full) and small.in_image(full)
     for v in range(n):
         assert big.out_mask(v) == small.out_mask(v)
+        assert bare.out_mask(v) == 0
 
 
 def test_multigraph_feature_validation():

@@ -78,6 +78,7 @@ def test_classify_partial_halt_recorded():
     # b has no green successor, but the run still lands exactly on T
     assert cls.kind == "exact"
     assert cls.partial_halt_steps == (1,)
+    assert cls.partial_halt_vertices == (vs(g, "b"),)
 
 
 def test_classify_empty_program_compares_sets():
