@@ -12,8 +12,7 @@ from .criterion import criterion_from_dict
 from .generate import random_instance, write_instance
 from .graph import DirectedGraph, MultiGraph, convert_multigraph
 from .graphio import GraphFormatError, load_graph, parse_vertex_set, serialize_graph, to_dot
-from .mining import MiningConfig, MiningReport, render_program
-from .oracle import CapExceededError, brute_force_mine_scp
+from .mining import MiningConfig, render_program
 from .scp import classify_scp, mine_exact_scp, mine_feasible_scp, simulate_scp
 from .stp import TosetProgram, classify_stp, mine_exact_stp, mine_feasible_stp, simulate_stp
 
@@ -119,18 +118,13 @@ def _cmd_mine(args) -> int:
         time_budget=args.time_budget,
         fidelity=args.fidelity,
     )
-    if args.engine == "oracle":
-        if (config.max_programs, config.max_triples, config.time_budget) != (None, None, None):
-            raise CliError("the oracle enumerates every program and takes no caps")
-        reports = _oracle_reports(g, source, target, config, args.mode)
-    else:
-        miner = {
-            ("scp", "exact"): mine_exact_scp,
-            ("scp", "feasible"): mine_feasible_scp,
-            ("stp", "exact"): mine_exact_stp,
-            ("stp", "feasible"): mine_feasible_stp,
-        }[(args.engine, args.mode)]
-        reports = miner(g, source, target, config)
+    miner = {
+        ("scp", "exact"): mine_exact_scp,
+        ("scp", "feasible"): mine_feasible_scp,
+        ("stp", "exact"): mine_exact_stp,
+        ("stp", "feasible"): mine_feasible_stp,
+    }[(args.engine, args.mode)]
+    reports = miner(g, source, target, config)
     found = 0
     for report in (r.to_dict(g) for r in reports):
         found += len(report["programs"])
@@ -142,16 +136,6 @@ def _cmd_mine(args) -> int:
             for p in report["programs"]:
                 print(f"  {_program_line(p)}")
     return 0 if found else 1
-
-
-def _oracle_reports(g, source, target, config, mode):
-    for length in range(config.max_len + 1):
-        try:
-            exact, feasible = brute_force_mine_scp(g, source, target, length)
-        except CapExceededError as e:
-            raise CliError(str(e)) from None
-        programs = sorted(exact if mode == "exact" else feasible)
-        yield MiningReport("oracle", mode, length, programs, True, {})
 
 
 # -- verify / simulate ----------------------------------------------------------
@@ -278,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="search for programs leading from source to target")
     _add_graph_args(p)
-    p.add_argument("--engine", choices=("scp", "stp", "oracle"), default="scp")
+    p.add_argument("--engine", choices=("scp", "stp"), default="scp")
     p.add_argument("--mode", choices=("exact", "feasible"), default="exact")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--max-programs", type=int)

@@ -49,9 +49,9 @@ def scp_level(g, source, target, mode):
             n = len(p)
             if n == length:
                 first_step = g.out_image(B) & g.color_mask(p[0]) if p else B
-                if B & ~S == 0 and S & ~g.in_image(first_step) == 0 and p not in found:
+                accepted = B & ~S == 0 and S & ~g.in_image(first_step) == 0
+                if accepted and p not in found and budget.charge_program():
                     found.add(p)
-                    budget.charge_program()
                 carry.append((p, B, M))
                 continue
             pool = positions[length - n - 1] & g.in_image(B)
@@ -59,7 +59,7 @@ def scp_level(g, source, target, mode):
                 newp = (c,) + p
                 for d in g.colors_in(pool):
                     nd = pool if length == n + 1 else g.color_mask(d) & pool
-                    for basis in pseudo_bases(g, nd, B, M, c):
+                    for basis in pseudo_bases(g, nd, B, M, c, budget.expired):
                         stats["pseudo_bases"] += 1
                         triple = (newp, basis, nd)
                         if triple in seen:
@@ -106,7 +106,7 @@ def stp_level(g, source, target, mode):
                 continue
             pool = _strict_filter(g, g.in_image(B) & positions[length - n], B, M)
             inside = mask_of(v for v in iter_bits(pool) if g.out_mask(v) & ~M == 0)
-            for basis in cover_masks(g, B, inside):
+            for basis in cover_masks(g, B, inside, budget.expired):
                 stats["pseudo_bases"] += 1
                 queue.append(((basis, pool, n),) + chain)
         found: dict = {}
@@ -123,9 +123,8 @@ def stp_level(g, source, target, mode):
             key = program.key(g)
             if key in found:
                 stats["dedup_hits"] += 1
-            else:
+            elif budget.charge_program():
                 found[key] = program
-                budget.charge_program()
         return [found[k] for k in sorted(found)], stats
 
     return level

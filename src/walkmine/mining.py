@@ -23,8 +23,8 @@ _STATS = {
 }
 
 
-def zero_stats(engine: str) -> dict:
-    return dict.fromkeys(_STATS[engine], 0)
+def zero_stats(engine: str, extra: tuple = ()) -> dict:
+    return dict.fromkeys(_STATS[engine] + extra, 0)
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,29 @@ class Budget:
         self.tripped = False
 
     def charge_triple(self) -> bool:
-        """Account for one expanded search state; False once over budget."""
+        """Account for one search step; False once over budget."""
         if self.tripped:
             return False
         self.triples += 1
         if self._max_triples is not None and self.triples > self._max_triples:
             self.tripped = True
-        elif self._deadline is not None and time.monotonic() > self._deadline:
-            self.tripped = True
-        return not self.tripped
+        return not self.expired()
 
-    def charge_program(self):
-        if self.tripped:
-            return
-        self.programs += 1
-        if self._max_programs is not None and self.programs >= self._max_programs:
+    def charge_program(self) -> bool:
+        """Account for one listed program; False, listing nothing, once
+        ``max_programs`` have been listed."""
+        full = self._max_programs is not None and self.programs >= self._max_programs
+        if not full:
+            self.programs += 1
+            if self.programs == self._max_programs:
+                self.tripped = True
+        return not full
+
+    def expired(self) -> bool:
+        """Has the budget tripped? Checks the deadline, and trips on it."""
+        if not self.tripped and self._deadline is not None and time.monotonic() > self._deadline:
             self.tripped = True
+        return self.tripped
 
 
 def render_program(g: DirectedGraph, program) -> list:
@@ -131,6 +138,7 @@ def run_levels(
     mode: str,
     empty_program,
     make_level: Callable,
+    extra_stats: tuple = (),
 ) -> Iterator[MiningReport]:
     """One report per length 0..max_len; a level callback searches the viable ones.
 
@@ -141,7 +149,8 @@ def run_levels(
     contain the target (exact mode and the literal fidelity) or meet it
     (repaired feasible mode). The empty program counts toward
     ``max_programs``. A report is exhausted unless the budget tripped, and
-    the run stops after the length that trips it.
+    the run stops after the length that trips it. ``extra_stats`` names the
+    counters the level callback keeps beyond the engine's own.
     """
     _validate_instance(g, source, target)
     budget = Budget(config)
@@ -149,7 +158,7 @@ def run_levels(
     contain = mode == EXACT or config.fidelity == LITERAL
     positions = [source.mask]
     for length in range(config.max_len + 1):
-        programs, stats = [], zero_stats(engine)
+        programs, stats = [], zero_stats(engine, extra_stats)
         if length == 0:
             ok = source == target if mode == EXACT else source.issubset(target)
             if ok:
@@ -173,8 +182,8 @@ def start_states(target: int, mode: str, empty) -> list:
     return [(empty, B, target) for B in starts]
 
 
-def backward_level(g, engine, empty, target, mode, expand, accept):
-    """Level callback of a repaired search: breadth-first over states (p, B, M).
+def backward_search(g, engine, empty, target, mode, expand, accept):
+    """A repaired search, breadth-first over states (p, B, M), one state per step.
 
     A state says that any start set between B and M runs the suffix program
     ``p`` into the target; the search starts from :func:`start_states`.
@@ -184,14 +193,17 @@ def backward_level(g, engine, empty, target, mode, expand, accept):
     in the last two steps back, where the next step reads a base only through
     its class, the pool itself, which ``expand`` yields there only if its
     image covers B. ``accept(p)`` returns a program's sort key, or None.
-    Each popped state charges the budget.
+
+    Returns ``search(length, positions, budget, found, stats)``, a generator
+    that charges the budget for each popped state and yields after it. It
+    stops when the queue empties or the budget trips, also in the middle of
+    a cover enumeration, and it records each accepted program p, while the
+    budget admits it, as ``found[p] = key``.
     """
     expanded = _STATS[engine][0]
     seeds = start_states(target.mask, mode, empty)
 
-    def level(length, positions, budget):
-        stats = zero_stats(engine)
-        found: dict = {}
+    def search(length, positions, budget, found, stats):
         queue = deque(seeds)
         seen = set(seeds)
         while queue and budget.charge_triple():
@@ -199,21 +211,33 @@ def backward_level(g, engine, empty, target, mode, expand, accept):
             stats[expanded] += 1
             p, B, _ = state
             if len(p) == length:
-                key = accept(p)
-                if key is not None:
+                key = None if p in found else accept(p)
+                if key is not None and budget.charge_program():
                     found[p] = key
-                    budget.charge_program()
-                continue
-            for newp, pool, keep in expand(state, length, positions, stats):
-                bases = cover_masks(g, B, pool) if len(newp) + 1 < length else [pool]
-                for basis in bases:
-                    stats["pseudo_bases"] += 1
-                    nxt = (newp, basis, keep)
-                    if nxt in seen:
-                        stats["dedup_hits"] += 1
-                        continue
-                    seen.add(nxt)
-                    queue.append(nxt)
+            else:
+                for newp, pool, keep in expand(state, length, positions, stats):
+                    bases = cover_masks(g, B, pool, budget.expired) if len(newp) + 1 < length else [pool]
+                    for basis in bases:
+                        stats["pseudo_bases"] += 1
+                        nxt = (newp, basis, keep)
+                        if nxt in seen:
+                            stats["dedup_hits"] += 1
+                            continue
+                        seen.add(nxt)
+                        queue.append(nxt)
+            yield
+
+    return search
+
+
+def backward_level(g, engine, empty, target, mode, expand, accept):
+    """Level callback that runs a :func:`backward_search` to its end."""
+    search = backward_search(g, engine, empty, target, mode, expand, accept)
+
+    def level(length, positions, budget):
+        stats, found = zero_stats(engine), {}
+        for _ in search(length, positions, budget, found, stats):
+            pass
         return sorted(found, key=found.__getitem__), stats
 
     return level

@@ -2,11 +2,13 @@
 
 A colour program is a sequence of colour ids. Run from a vertex set, each
 step moves to all out-neighbours and keeps those of the step's colour. The
-miners search backwards from the target, maintaining triples (suffix, B, M)
+backward search works from the target, maintaining triples (suffix, B, M)
 whose meaning is: any start set sandwiched between B and M runs the suffix
-into the target. The default search keeps that invariant exactly; the
-``literal`` fidelity, in :mod:`walkmine.literal`, reproduces an uncorrected
-variant kept for comparison.
+into the target. The default miner keeps that invariant exactly, and races
+the backward search against a forward subset-construction search over
+endpoint sets; the first to finish answers each length. The ``literal``
+fidelity, in :mod:`walkmine.literal`, reproduces an uncorrected variant of
+the backward search kept for comparison.
 """
 
 from __future__ import annotations
@@ -17,11 +19,17 @@ from typing import Iterator, Optional
 from . import literal
 from .bitset import VertexSet
 from .graph import DirectedGraph
-from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_level, run_levels
+from .mining import (
+    EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels, zero_stats,
+)
 from .setcover import pseudo_bases
 
 INFEASIBLE = "infeasible"
 COMPLETE_HALT = "complete_halt"
+
+# the searches repaired mining races, in the order they take their turns
+SEARCHES = ("forward", "backward")
+_FORWARD_STATS = ("sets_expanded",)
 
 
 @dataclass(frozen=True)
@@ -153,12 +161,15 @@ def mine_feasible_scp(g, source, target, config: MiningConfig) -> Iterator[Minin
 
 
 def _mine_scp(g, source, target, config, mode) -> Iterator[MiningReport]:
-    make_level = literal.scp_level if config.fidelity == LITERAL else _scp_level
-    return run_levels(g, source, target, config, "scp", mode, (), make_level)
+    if config.fidelity == LITERAL:
+        return run_levels(g, source, target, config, "scp", mode, (), literal.scp_level)
+    return run_levels(g, source, target, config, "scp", mode, (), _scp_level, _FORWARD_STATS)
 
 
 def _scp_level(g, source, target, mode):
-    """Repaired colour search: every triple (p, B, M) keeps its invariant."""
+    """Repaired colour search: the :data:`SEARCHES` race, one step each in
+    turn, and the first to finish answers the level. A budget trip ends the
+    race; the report keeps the programs the searches had listed."""
 
     def expand(state, length, positions, stats):
         p, B, M = state
@@ -186,4 +197,74 @@ def _scp_level(g, source, target, mode):
     def accept(p):
         return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level(g, "scp", (), target, mode, expand, accept)
+    K = [target.mask]  # K[r]: the vertices with a walk of r steps into T
+    searches = {
+        "forward": lambda *args: _forward_search(g, source.mask, K, mode, *args),
+        "backward": backward_search(g, "scp", (), target, mode, expand, accept),
+    }
+    race = [searches[name] for name in SEARCHES]
+
+    def level(length, positions, budget):
+        stats, found = zero_stats("scp", _FORWARD_STATS), {}
+        for _ in zip(*(search(length, positions, budget, found, stats) for search in race)):
+            pass  # zip stops as soon as one search finishes
+        return sorted(found), stats
+
+    return level
+
+
+def _forward_search(g, S: int, K: list, mode, length, positions, budget, found, stats):
+    """Forward subset-construction search, one budget charge per step.
+
+    A colour program is a word over the automaton v -c-> u (an edge v->u
+    into a vertex of colour c), and the endpoint set of a run is a state of
+    its powerset automaton. Depth by depth from {S}, each distinct set is
+    expanded into its colour classes, keeping a class only if it meets K[r],
+    the vertices with a walk of r steps into T, r the steps then left; ``K``
+    starts as [T] and is extended in place, so later lengths reuse it. At
+    the last depth a class must equal T (exact mode), or be nonempty and
+    inside T. The last step lists the programs through the expanded sets
+    into ``found``, depth-first and in lexicographic order; each listed
+    program charges the budget too, so the caps bound the listing as they
+    bound the expansion.
+    """
+    T = K[0]
+    while len(K) < length:
+        K.append(g.in_image(K[-1]))
+    steps = []  # per depth: {expanded set: [(colour, next set)]}, colours ascending
+    layer = [S]
+    for depth in range(length):
+        keep, moves, nxt = K[length - depth - 1], {}, {}
+        steps.append(moves)
+        for E in layer:
+            if not budget.charge_triple():
+                return
+            stats["sets_expanded"] += 1
+            image = g.out_image(E) if depth else positions[1]
+            moves[E] = out = []
+            for c in g.colors_in(image & keep):
+                X = image & g.color_mask(c)
+                if depth + 1 < length or X == T or (mode == FEASIBLE and X & ~T == 0):
+                    out.append((c, X))
+                    nxt[X] = None
+            yield
+        layer = list(nxt)
+    # live[d]: the sets at depth d with a path of moves to an accepted set
+    live = [set(layer)]
+    for moves in reversed(steps):
+        live.append({E for E, out in moves.items() if any(X in live[-1] for _, X in out)})
+    live.reverse()
+    prefix, stack = [], [iter(steps[0][S])] if S in live[0] else []
+    while stack:  # stack[d] walks the moves out of the depth-d set; prefix holds their colours
+        move = next((m for m in stack[-1] if m[1] in live[len(stack)]), None)
+        if move is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+        elif len(stack) < length:
+            prefix.append(move[0])
+            stack.append(iter(steps[len(stack)][move[1]]))
+        elif (p := (*prefix, move[0])) not in found:
+            if not (budget.charge_triple() and budget.charge_program()):
+                return
+            found[p] = p

@@ -3,19 +3,24 @@ pseudo-bases the colour miners draw from them."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .bitset import iter_bits, mask_of
 
+Stop = Optional[Callable[[], bool]]  # asked during an enumeration; True ends it early
 
-def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+
+def minimal_covers(
+    target_mask: int, candidates: Sequence[tuple[int, int]], stop: Stop = None
+) -> list[tuple[int, ...]]:
     """All minimal covers of ``target_mask`` drawn from ``candidates``.
 
     ``candidates`` pairs a member id with the mask it covers. A cover is a
     set of members whose masks jointly contain the target; it is minimal when
     dropping any member breaks that. Returns each cover as a sorted id tuple,
     with the whole list sorted lexicographically. An empty target has exactly
-    the empty cover.
+    the empty cover. ``stop`` is asked before each branch; once it returns
+    True the enumeration ends, and only the covers found so far are returned.
     """
     if target_mask == 0:
         return [()]
@@ -24,6 +29,8 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
     results: list[tuple[int, ...]] = []
 
     def search(covered: int, twice: int, chosen: list, banned: frozenset):
+        if stop is not None and stop():
+            return
         if covered == target_mask:
             results.append(tuple(sorted(vid for vid, _ in chosen)))
             return
@@ -47,19 +54,21 @@ def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> l
     return results
 
 
-def cover_masks(g, B: int, pool: int) -> list[int]:
+def cover_masks(g, B: int, pool: int, stop: Stop = None) -> list[int]:
     """Minimal subsets of ``pool`` whose out-neighbourhoods cover B, as int
-    masks over ``g``'s vertices, in lexicographic order of sorted member ids."""
+    masks over ``g``'s vertices, in lexicographic order of sorted member ids;
+    ``stop`` cuts the enumeration short as in :func:`minimal_covers`."""
     candidates = [(v, g.out_mask(v) & B) for v in iter_bits(pool)]
-    return [mask_of(ids) for ids in minimal_covers(B, candidates)]
+    return [mask_of(ids) for ids in minimal_covers(B, candidates, stop)]
 
 
-def pseudo_bases(g, pool: int, B: int, M: int, c: int) -> list[int]:
+def pseudo_bases(g, pool: int, B: int, M: int, c: int, stop: Stop = None) -> list[int]:
     """Minimal subsets of ``pool`` whose c-image covers B without leaving M.
 
     Members whose own c-image leaks outside M are excluded up front; the
     union of per-member images stays in M exactly when each one does.
+    ``stop`` is passed on to :func:`cover_masks`.
     """
     cmask = g.color_mask(c)
     inside = mask_of(v for v in iter_bits(pool) if g.out_mask(v) & cmask & ~M == 0)
-    return [] if B & ~cmask else cover_masks(g, B, inside)
+    return [] if B & ~cmask else cover_masks(g, B, inside, stop)

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+from walkmine import scp
 from walkmine.bitset import VertexSet
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
 from walkmine.graphio import load_graph, parse_vertex_set
@@ -46,6 +47,19 @@ def name_program(g: DirectedGraph, *colors: str) -> tuple:
 def mine_all(miner, g, src, tgt, config) -> dict:
     """Collect the per-length report stream into {length: report}."""
     return {rep.length: rep for rep in miner(g, src, tgt, config)}
+
+
+def scp_miner(mode: str, searches: tuple):
+    """A colour miner that races only the named searches of :data:`scp.SEARCHES`."""
+
+    def miner(g, source, target, config):
+        saved, scp.SEARCHES = scp.SEARCHES, searches
+        try:
+            yield from scp._mine_scp(g, source, target, config, mode)
+        finally:
+            scp.SEARCHES = saved
+
+    return miner
 
 
 def trace_names(g: DirectedGraph, trace) -> list:

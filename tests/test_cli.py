@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from helpers import FIXTURES
 from walkmine import DirectedGraph, load_graph
 from walkmine.cli import main
 
+SRC = str(FIXTURES.parents[1] / "src")
 FUNNEL = str(FIXTURES / "funnel.graph.json")
 FUNNEL_SOURCE = str(FIXTURES / "funnel.source")
 FUNNEL_TARGET = str(FIXTURES / "funnel.target")
@@ -49,17 +52,6 @@ def test_mine_text(capsys):
     assert code == 0
     assert "length 2: 1 program(s), complete" in out
     assert "  red·green" in out
-
-
-def test_mine_oracle_engine(capsys):
-    code, out, _ = run(
-        capsys, "mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE,
-        "--target", FUNNEL_TARGET, "--max-len", "2", "--engine", "oracle",
-    )
-    assert code == 0
-    reports = [json.loads(line) for line in out.splitlines()]
-    assert reports[2]["engine"] == "oracle"
-    assert reports[2]["programs"] == [["red", "green"]]
 
 
 def test_mine_nothing_found_exit_code(capsys):
@@ -287,7 +279,7 @@ def test_gen_deterministic(capsys, tmp_path):
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
           "--max-len", "2", "--color-dim", "nope"), "colour dimension"),
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
-          "--max-len", "2", "--engine", "oracle", "--color-dim", "nope"), "colour dimension"),
+          "--max-len", "2", "--engine", "scp", "--color-dim", "nope"), "colour dimension"),
         (("verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
           "--program", "red", "--color-dim", "nope"), "colour dimension"),
         (("simulate", "--graph", FUNNEL, "--source", FUNNEL_SOURCE,
@@ -296,15 +288,15 @@ def test_gen_deterministic(capsys, tmp_path):
         (("gen", "--seed", "1", "--max-colors", "1"), "max_colors"),
         (("gen", "--seed", "1", "--extra-dims", "-2"), "extra_dims"),
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
-          "--max-len", "-1", "--engine", "oracle"), "max_len"),
+          "--max-len", "-1", "--engine", "scp"), "max_len"),
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
-          "--max-len", "2", "--engine", "oracle", "--max-programs", "0"), "max_programs"),
+          "--max-len", "2", "--engine", "scp", "--max-programs", "0"), "max_programs"),
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
-          "--max-len", "2", "--engine", "oracle", "--max-programs", "1"), "no caps"),
-        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
-          "--max-len", "2", "--engine", "oracle", "--max-triples", "5"), "no caps"),
-        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
-          "--max-len", "2", "--engine", "oracle", "--time-budget", "1"), "no caps"),
+          "--max-len", "2", "--engine", "stp", "--max-triples", "0"), "max_triples"),
+        (("mine", "--graph", FUNNEL, "--source-ids", ",", "--target", FUNNEL_TARGET,
+          "--max-len", "2"), "must be nonempty"),
+        (("verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--engine", "stp", "--program", '{"atom": {"f": "color", "op": "=", "v": "red"}}'), "JSON array"),
         (("verify", "--graph", TWOFEATURE, "--source", TWOFEATURE_SOURCE, "--target", TWOFEATURE_TARGET,
           "--engine", "stp", "--program", '[{"atom": {"f": "n", "op": "<=", "v": NaN}}]'), "non-finite"),
     ],
@@ -315,12 +307,17 @@ def test_input_errors_exit_two(capsys, argv, needle):
     assert err.startswith("error:") and needle in err
 
 
-@pytest.mark.skipif(shutil.which("walkmine") is None, reason="script not on PATH")
 def test_installed_entrypoint():
+    # the console script when installed, else the package run as a module
+    command, env = ["walkmine"], None
+    if shutil.which("walkmine") is None:
+        command = [sys.executable, "-m", "walkmine"]
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, inherited]) if inherited else SRC)
     proc = subprocess.run(
-        ["walkmine", "verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE,
-         "--target", FUNNEL_TARGET, "--program", "red,green", "--expect", "exact"],
-        capture_output=True, text=True,
+        command + ["verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE,
+                   "--target", FUNNEL_TARGET, "--program", "red,green", "--expect", "exact"],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "kind: exact" in proc.stdout

@@ -1,22 +1,23 @@
+import functools
 import random
 import time
 
 import pytest
 
 import walkmine.graph as graphmod
-from helpers import color_graph, color_names, mine_all, name_program, vs
+from helpers import color_graph, color_names, mine_all, name_program, scp_miner, vs
 from walkmine.bitset import VertexSet
 from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
-from walkmine.mining import MiningConfig, render_program
+from walkmine.mining import Budget, MiningConfig, render_program
 from walkmine.oracle import brute_force_mine_scp
-from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
+from walkmine.scp import SEARCHES, classify_scp, mine_exact_scp, mine_feasible_scp
 from walkmine.stp import mine_exact_stp, mine_feasible_stp
 
 
 def test_funnel_exact(funnel):
     g, S, T = funnel
-    reports = mine_all(mine_exact_scp, g, S, T, MiningConfig(max_len=4))
+    reports = mine_all(scp_miner("exact", ("backward",)), g, S, T, MiningConfig(max_len=4))
     assert sorted(reports) == [0, 1, 2, 3, 4]
     assert reports[2].programs == [name_program(g, "red", "green")]
     for length in (0, 1, 3, 4):
@@ -258,18 +259,18 @@ def test_dense_limit_crossing_keeps_reports_and_speed(monkeypatch):
     assert elapsed < 2.0, f"edge-array path took {elapsed:.2f} s"
 
 
-def _last_step_gadget(m, green=False):
-    """m red targets, each with two blue predecessors; the source is all 2m
-    blues, or with ``green`` one green vertex that feeds every blue."""
+def _cover_gadget(m, head=()):
+    """m red targets, each with two blue predecessors. With no ``head`` the
+    source is all 2m blues; otherwise it is the first of a path of single
+    vertices coloured ``head``, whose last vertex feeds every blue."""
     blues = [f"b{i}_{k}" for i in range(m) for k in (0, 1)]
     reds = [f"r{i}" for i in range(m)]
     edges = [(b, f"r{i}") for i in range(m) for b in blues[2 * i:2 * i + 2]]
-    names, colours = blues + reds, ["blue"] * len(blues) + ["red"] * m
-    if green:
-        names, colours = names + ["s"], colours + ["green"]
-        edges += [("s", b) for b in blues]
-    g = color_graph(names, colours, edges)
-    return g, vs(g, "s") if green else vs(g, *blues), vs(g, *reds)
+    path = [f"h{i}" for i in range(len(head))]
+    if path:
+        edges += list(zip(path, path[1:])) + [(path[-1], b) for b in blues]
+    g = color_graph(blues + reds + path, ["blue"] * len(blues) + ["red"] * m + list(head), edges)
+    return g, vs(g, path[0]) if path else vs(g, *blues), vs(g, *reds)
 
 
 @pytest.mark.parametrize(
@@ -282,8 +283,10 @@ def _last_step_gadget(m, green=False):
 )
 def test_last_step_tests_the_source_itself(miner, green):
     """The blues hold 2^m minimal covers of T; the last two steps back test
-    one whole pool each instead."""
-    g, S, T = _last_step_gadget(16, green)
+    one whole pool each instead. ``scp`` runs its backward search alone."""
+    if miner is mine_exact_scp:
+        miner = scp_miner("exact", ("backward",))
+    g, S, T = _cover_gadget(16, ("green",) if green else ())
     colours = ["blue", "red"] if green else ["red"]
     n = len(colours)
     reports = mine_all(miner, g, S, T, MiningConfig(max_len=n))
@@ -295,3 +298,141 @@ def test_last_step_tests_the_source_itself(miner, green):
     capped = mine_all(miner, g, S, T, MiningConfig(max_len=n, time_budget=0.05))
     assert time.monotonic() - start < 0.5
     assert capped[n].programs == [p] and capped[n].exhausted
+
+
+@pytest.mark.parametrize("miner", [mine_exact_scp, mine_exact_stp], ids=lambda miner: miner.__name__)
+def test_interior_cover_enumeration_keeps_the_time_budget(miner):
+    """Three steps back the 2^m minimal covers of the reds among the blues
+    are listed; the listing stops at the deadline, and the length is cut off."""
+    g, S, T = _cover_gadget(16, ("green", "yellow"))
+    start = time.monotonic()
+    reports = mine_all(miner, g, S, T, MiningConfig(max_len=3, time_budget=0.05))
+    assert time.monotonic() - start < 0.5
+    assert max(reports) == 3 and not reports[3].exhausted
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_case(seed):
+    """A corpus instance and its oracle answers (exact, feasible) at lengths 0..4."""
+    inst = random_instance(seed)
+    return inst, [brute_force_mine_scp(inst.graph, inst.source, inst.target, n) for n in range(5)]
+
+
+@pytest.mark.parametrize("searches", [("forward",), ("backward",), SEARCHES], ids="+".join)
+def test_each_search_matches_oracle_on_corpus(searches):
+    for seed in range(1000, 1200):
+        inst, oracle = _corpus_case(seed)
+        for m, mode in enumerate(("exact", "feasible")):
+            miner = scp_miner(mode, searches)
+            reports = mine_all(miner, inst.graph, inst.source, inst.target, MiningConfig(max_len=4))
+            for length, answers in enumerate(oracle):
+                assert reports[length].exhausted
+                assert reports[length].programs == sorted(answers[m]), (seed, mode, length)
+
+
+def test_capped_race_lists_only_confirmed_programs():
+    """Under a state or program cap each listed program is one the uncapped
+    run lists, an exhausted report lists them all, and max_programs holds."""
+    cut_off_with_programs = 0
+    for seed in range(1000, 1060):
+        inst = random_instance(seed)
+        g, S, T = inst.graph, inst.source, inst.target
+        for miner in (mine_exact_scp, mine_feasible_scp):
+            full = mine_all(miner, g, S, T, MiningConfig(max_len=4))
+            for cap in (1, 2, 3, 5, 8, 13):
+                for cfg in (MiningConfig(max_len=4, max_triples=cap), MiningConfig(max_len=4, max_programs=cap)):
+                    reports = list(miner(g, S, T, cfg))
+                    assert sum(len(r.programs) for r in reports) <= (cfg.max_programs or float("inf"))
+                    for r in reports:
+                        assert set(r.programs) <= set(full[r.length].programs), (seed, cfg, r.length)
+                        assert r.programs == sorted(r.programs)
+                        if r.exhausted:
+                            assert r.programs == full[r.length].programs, (seed, cfg, r.length)
+                        cut_off_with_programs += not r.exhausted and bool(r.programs)
+    assert cut_off_with_programs
+
+
+@pytest.mark.parametrize("cap, listed, exhausted", [(2, [], False), (3, [("green",)], True)])
+def test_forward_listing_is_charged_like_a_step(cap, listed, exhausted):
+    # turns: the forward search expands S, the backward search pops (ε, T, T),
+    # and the forward search lists green, charging a third step, and finishes
+    g = color_graph(["s", "t"], ["gray", "green"], [("s", "t")])
+    *_, last = mine_exact_scp(g, vs(g, "s"), vs(g, "t"), MiningConfig(max_len=1, max_triples=cap))
+    assert last.length == 1 and last.exhausted == exhausted
+    assert color_names(g, last.programs) == listed
+
+
+def _layered_gadget(L):
+    """Layers 1..L-1 of an a- and a b-vertex, each joined to both of the next
+    layer's; S = {a0}, T = {t}, one a-vertex at layer L. Its 2^(L-1) exact
+    programs of length L all run through 2L-1 endpoint sets."""
+    names = ["a0"] + [f"{x}{i}" for i in range(1, L) for x in "ab"] + ["t"]
+    layers = [["a0"]] + [[f"a{i}", f"b{i}"] for i in range(1, L)] + [["t"]]
+    edges = [(u, v) for here, there in zip(layers, layers[1:]) for u in here for v in there]
+    g = color_graph(names, [n[0] if n != "t" else "a" for n in names], edges)
+    return g, vs(g, "a0"), vs(g, "t")
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [dict(time_budget=0.05), dict(max_programs=1), dict(max_triples=1000),
+     dict(time_budget=0.05, max_programs=1, max_triples=100)],
+    ids=lambda caps: ",".join(caps),
+)
+def test_forward_listing_keeps_the_caps(caps):
+    L = 26
+    g, S, T = _layered_gadget(L)
+    start = time.monotonic()
+    reports = mine_all(mine_exact_scp, g, S, T, MiningConfig(max_len=L, **caps))
+    assert time.monotonic() - start < 0.5
+    assert max(reports) == L and not reports[L].exhausted
+    assert len(reports[L].programs) <= caps.get("max_programs", caps.get("max_triples", float("inf")))
+    assert all(classify_scp(g, S, T, p).kind == "exact" for p in reports[L].programs)
+
+
+def test_forward_search_keeps_only_sets_that_can_reach_the_target():
+    # without the K_r test the length-3 search expands 44 sets here
+    build, S, T = _sparse_instance(seed=3, n=8000, degree=4, colours=8)
+    g = build()
+    for mode in ("exact", "feasible"):
+        reports = mine_all(scp_miner(mode, ("forward",)), g, S, T, MiningConfig(max_len=4))
+        assert [r.stats["sets_expanded"] for r in reports.values()] == [0, 0, 0, 3, 0]
+        assert len(reports[3].programs) == 1
+
+
+def _dense_instance(seed):
+    """A random graph of 40-80 vertices, 2-4 colours and out-degree 4-8,
+    with a 3-vertex source and a 4-12-vertex target."""
+    rng = random.Random(seed)
+    n, colours, degree = rng.randint(40, 80), rng.randint(2, 4), rng.randint(4, 8)
+    names = [f"v{i}" for i in range(n)]
+    edges = {(names[v], names[rng.randrange(n)]) for v in range(n) for _ in range(degree)}
+    g = color_graph(names, [f"c{rng.randrange(colours)}" for _ in range(n)], sorted(edges))
+    return g, vs(g, *rng.sample(names, 3)), vs(g, *rng.sample(names, rng.randint(4, 12)))
+
+
+def test_race_charges_at_most_twice_the_faster_search(monkeypatch):
+    """Per length, the race charges the budget for at most 2 * min(forward
+    alone, backward alone) + 2 steps; the family has lengths each search wins."""
+    charges = []
+    charge_triple = Budget.charge_triple
+    monkeypatch.setattr(Budget, "charge_triple", lambda self: charges.append(None) or charge_triple(self))
+
+    def charged_per_length(miner, g, S, T):
+        counts = []
+        for _ in miner(g, S, T, MiningConfig(max_len=6)):
+            counts.append(len(charges))
+            charges.clear()
+        return counts
+
+    wins = {"forward": 0, "backward": 0}
+    for seed in range(30):
+        g, S, T = _dense_instance(seed)
+        for mode in ("exact", "feasible"):
+            charged = [charged_per_length(scp_miner(mode, searches), g, S, T)
+                       for searches in (("forward",), ("backward",), SEARCHES)]
+            for fwd, bwd, race in zip(*charged):
+                assert race <= 2 * min(fwd, bwd) + 2, (seed, mode, fwd, bwd, race)
+                wins["forward"] += fwd < bwd
+                wins["backward"] += bwd < fwd
+    assert wins["forward"] and wins["backward"], wins
