@@ -30,9 +30,13 @@ def _read_text(path: str) -> str:
 
 def _load_graph(args):
     try:
-        return load_graph(_read_text(args.graph), color_dim=args.color_dim)
+        g = load_graph(_read_text(args.graph), color_dim=args.color_dim or "color")
     except GraphFormatError as e:
         raise CliError(f"{args.graph}: {e}") from None
+    if args.color_dim is not None:
+        # an explicit colour dimension must exist even where no walk reads colours
+        g.schema.color_index(args.color_dim)
+    return g
 
 
 def _load_simple_graph(args) -> DirectedGraph:
@@ -245,7 +249,7 @@ def _cmd_gen(args) -> int:
 
 def _add_graph_args(p, with_sets=True):
     p.add_argument("--graph", required=True, help="graph document (JSON)")
-    p.add_argument("--color-dim", default="color", help="categorical dimension used as walk colour")
+    p.add_argument("--color-dim", help="categorical dimension used as walk colour (default: color)")
     if with_sets:
         p.add_argument("--source", help="file of source vertex ids, one per line")
         p.add_argument("--source-ids", help="inline comma-separated source vertex ids")

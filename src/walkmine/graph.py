@@ -69,6 +69,15 @@ class FeatureSchema:
     def kind_of(self, dim: int) -> str:
         return self.dims[dim].kind
 
+    def color_index(self, name: str) -> int:
+        """Index of the dimension ``name``, which must be categorical to colour walks."""
+        if not self.has(name):
+            raise ValueError(f"colour dimension {name!r} is not in the schema")
+        dim = self._index[name]
+        if self.kind_of(dim) != CATEGORICAL:
+            raise ValueError(f"colour dimension {name!r} must be categorical")
+        return dim
+
 
 def _check_value(kind: str, value, where: str):
     if value is None:
@@ -187,11 +196,7 @@ class DirectedGraph:
     # -- colours ----------------------------------------------------------
 
     def _intern_colors(self):
-        if not self.schema.has(self.color_dim):
-            raise ValueError(f"colour dimension {self.color_dim!r} is not in the schema")
-        dim = self.schema.index(self.color_dim)
-        if self.schema.kind_of(dim) != CATEGORICAL:
-            raise ValueError(f"colour dimension {self.color_dim!r} must be categorical")
+        dim = self.schema.color_index(self.color_dim)
         ids: dict[str, int] = {}
         vcolor = []
         for row in self.rows:

@@ -1,20 +1,21 @@
 """The ``literal`` fidelity: uncorrected transcriptions of both backward searches.
 
 Kept for comparison with the repaired searches in :mod:`walkmine.scp` and
-:mod:`walkmine.stp`. Each factory returns a level callback for
-:func:`walkmine.mining.run_levels`. Unlike the repaired searches, a literal
-search does not restart at each length: the states whose suffix reaches
-one viable length are carried into the next viable length's queue and
-extended from there.
+:mod:`walkmine.stp`. Each factory returns a one-search list for
+:func:`walkmine.mining.run_levels`; the search yields once per popped state
+and lists its programs into the driver's ``found``. Unlike the repaired
+searches, a literal search does not restart at each length: the states
+whose suffix reaches one viable length are carried into the next viable
+length's queue and extended from there.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .bitset import iter_bits, mask_of
+from .bitset import iter_bits
 from .criterion import InseparableError, TosetProgram, compute_criterion
-from .mining import EXACT, start_states, zero_stats
+from .mining import EXACT, start_states
 from .setcover import cover_masks, pseudo_bases
 
 
@@ -32,15 +33,13 @@ def _scp_seeds(g, target: int, mode: str) -> list:
     return seeds
 
 
-def scp_level(g, source, target, mode):
+def scp_searches(g, source, target, mode):
     """Uncorrected colour search: pools are per-colour slices of the frontier."""
     S = source.mask
     carry = deque(_scp_seeds(g, target.mask, mode))
 
-    def level(length, positions, budget):
+    def search(length, positions, budget, found, stats):
         nonlocal carry
-        stats = zero_stats("scp")
-        found = set()
         queue, carry = carry, deque()
         seen = set(queue)
         while queue and budget.charge_triple():
@@ -51,25 +50,25 @@ def scp_level(g, source, target, mode):
                 first_step = g.out_image(B) & g.color_mask(p[0]) if p else B
                 accepted = B & ~S == 0 and S & ~g.in_image(first_step) == 0
                 if accepted and p not in found and budget.charge_program():
-                    found.add(p)
+                    found[p] = p
                 carry.append((p, B, M))
-                continue
-            pool = positions[length - n - 1] & g.in_image(B)
-            for c in g.colors_in(B):
-                newp = (c,) + p
-                for d in g.colors_in(pool):
-                    nd = pool if length == n + 1 else g.color_mask(d) & pool
-                    for basis in pseudo_bases(g, nd, B, M, c, budget.expired):
-                        stats["pseudo_bases"] += 1
-                        triple = (newp, basis, nd)
-                        if triple in seen:
-                            stats["dedup_hits"] += 1
-                            continue
-                        seen.add(triple)
-                        queue.append(triple)
-        return sorted(found), stats
+            else:
+                pool = positions[length - n - 1] & g.in_image(B)
+                for c in g.colors_in(B):
+                    newp = (c,) + p
+                    for d in g.colors_in(pool):
+                        nd = pool if length == n + 1 else g.color_mask(d) & pool
+                        for basis in pseudo_bases(g, nd, B, M, c, budget.expired):
+                            stats["pseudo_bases"] += 1
+                            triple = (newp, basis, nd)
+                            if triple in seen:
+                                stats["dedup_hits"] += 1
+                                continue
+                            seen.add(triple)
+                            queue.append(triple)
+            yield
 
-    return level
+    return [search]
 
 
 def _strict_filter(g, pool: int, B: int, M: int) -> int:
@@ -84,14 +83,13 @@ def _strict_filter(g, pool: int, B: int, M: int) -> int:
     return safe
 
 
-def stp_level(g, source, target, mode):
+def stp_searches(g, source, target, mode):
     """Uncorrected criterion search: in-neighbourhood pools, synthesis afterwards."""
     S = source.mask
     carry = deque(((B, M, 0),) for _, B, M in start_states(target.mask, mode, ()))
 
-    def level(length, positions, budget):
+    def search(length, positions, budget, found, stats):
         nonlocal carry
-        stats = zero_stats("stp")
         accepted = []
         queue, carry = carry, deque()
         while queue and budget.charge_triple():
@@ -103,13 +101,14 @@ def stp_level(g, source, target, mode):
                 if B & ~S == 0 and S & ~M == 0:
                     accepted.append(chain)
                 carry.append(chain)
-                continue
-            pool = _strict_filter(g, g.in_image(B) & positions[length - n], B, M)
-            inside = mask_of(v for v in iter_bits(pool) if g.out_mask(v) & ~M == 0)
-            for basis in cover_masks(g, B, inside, budget.expired):
-                stats["pseudo_bases"] += 1
-                queue.append(((basis, pool, n),) + chain)
-        found: dict = {}
+            else:
+                pool = _strict_filter(g, g.in_image(B) & positions[length - n], B, M)
+                inside = pool & ~g.in_image(~M & ((1 << g.n) - 1))
+                for basis in cover_masks(g, B, inside, budget.expired):
+                    stats["pseudo_bases"] += 1
+                    queue.append(((basis, pool, n),) + chain)
+            yield
+        keys = set()
         for chain in accepted:
             elements = [(B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:]]
             try:
@@ -121,10 +120,10 @@ def stp_level(g, source, target, mode):
                 stats["inseparable"] += 1
                 continue
             key = program.key(g)
-            if key in found:
+            if key in keys:
                 stats["dedup_hits"] += 1
             elif budget.charge_program():
-                found[key] = program
-        return [found[k] for k in sorted(found)], stats
+                keys.add(key)
+                found[program] = key
 
-    return level
+    return [search]

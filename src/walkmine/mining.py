@@ -1,4 +1,5 @@
-"""Shared mining-run plumbing: configuration, budgets, the per-length driver."""
+"""Shared mining-run plumbing: configuration, budgets, the per-length driver
+that races a miner's searches, and the repaired miners' backward search."""
 
 from __future__ import annotations
 
@@ -21,10 +22,6 @@ _STATS = {
     "scp": ("triples_expanded", "pseudo_bases", "dedup_hits"),
     "stp": ("chains_expanded", "pseudo_bases", "dedup_hits", "inseparable"),
 }
-
-
-def zero_stats(engine: str, extra: tuple = ()) -> dict:
-    return dict.fromkeys(_STATS[engine] + extra, 0)
 
 
 @dataclass(frozen=True)
@@ -137,39 +134,44 @@ def run_levels(
     engine: str,
     mode: str,
     empty_program,
-    make_level: Callable,
+    make_searches: Callable,
     extra_stats: tuple = (),
 ) -> Iterator[MiningReport]:
-    """One report per length 0..max_len; a level callback searches the viable ones.
+    """One report per length 0..max_len; a race of searches mines the viable ones.
 
-    ``make_level(g, source, target, mode)`` returns the callback
-    ``level(length, positions, budget) -> (programs, stats)``, where
-    ``positions[j]`` is the set of vertices exactly j steps from the source.
-    A length is viable when the vertices that many steps from the source
-    contain the target (exact mode and the literal fidelity) or meet it
-    (repaired feasible mode). The empty program counts toward
-    ``max_programs``. A report is exhausted unless the budget tripped, and
-    the run stops after the length that trips it. ``extra_stats`` names the
-    counters the level callback keeps beyond the engine's own.
+    ``make_searches(g, source, target, mode)`` returns the searches. Each is
+    a generator ``search(length, positions, budget, found, stats)``, with
+    ``positions[j]`` the vertices exactly j steps from the source; it yields
+    once per charged step and records each program p it lists as
+    ``found[p] = sort key``. The searches take one step each in turn, and
+    the first to finish answers the length. A length is viable when the
+    vertices that many steps from the source contain the target (exact mode
+    and the literal fidelity) or meet it (repaired feasible mode). The empty
+    program counts toward ``max_programs``. A report lists its programs by
+    key; it is exhausted unless the budget tripped, and the run stops after
+    the length that trips it. ``extra_stats`` names the counters the
+    searches keep beyond the engine's own.
     """
     _validate_instance(g, source, target)
     budget = Budget(config)
-    level = make_level(g, source, target, mode)
+    searches = make_searches(g, source, target, mode)
     contain = mode == EXACT or config.fidelity == LITERAL
     positions = [source.mask]
     for length in range(config.max_len + 1):
-        programs, stats = [], zero_stats(engine, extra_stats)
+        stats, found = dict.fromkeys(_STATS[engine] + extra_stats, 0), {}
         if length == 0:
             ok = source == target if mode == EXACT else source.issubset(target)
             if ok:
-                programs = [empty_program]
+                found[empty_program] = ()
                 budget.charge_program()
         else:
             positions.append(g.out_image(positions[-1]))
             reach = positions[length]
             viable = target.mask & ~reach == 0 if contain else target.mask & reach != 0
             if viable:
-                programs, stats = level(length, positions, budget)
+                for _ in zip(*(search(length, positions, budget, found, stats) for search in searches)):
+                    pass  # zip stops as soon as one search finishes
+        programs = sorted(found, key=found.__getitem__)
         yield MiningReport(engine, mode, length, programs, not budget.tripped, stats)
         if budget.tripped:
             return
@@ -228,16 +230,3 @@ def backward_search(g, engine, empty, target, mode, expand, accept):
             yield
 
     return search
-
-
-def backward_level(g, engine, empty, target, mode, expand, accept):
-    """Level callback that runs a :func:`backward_search` to its end."""
-    search = backward_search(g, engine, empty, target, mode, expand, accept)
-
-    def level(length, positions, budget):
-        stats, found = zero_stats(engine), {}
-        for _ in search(length, positions, budget, found, stats):
-            pass
-        return sorted(found, key=found.__getitem__), stats
-
-    return level

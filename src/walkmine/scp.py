@@ -4,11 +4,12 @@ A colour program is a sequence of colour ids. Run from a vertex set, each
 step moves to all out-neighbours and keeps those of the step's colour. The
 backward search works from the target, maintaining triples (suffix, B, M)
 whose meaning is: any start set sandwiched between B and M runs the suffix
-into the target. The default miner keeps that invariant exactly, and races
-the backward search against a forward subset-construction search over
-endpoint sets; the first to finish answers each length. The ``literal``
-fidelity, in :mod:`walkmine.literal`, reproduces an uncorrected variant of
-the backward search kept for comparison.
+into the target. The default miner keeps that invariant exactly, and gives
+:func:`walkmine.mining.run_levels` two searches to race: the backward search
+and a forward subset-construction search over endpoint sets; the first to
+finish answers each length. The ``literal`` fidelity, in
+:mod:`walkmine.literal`, reproduces an uncorrected variant of the backward
+search kept for comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import literal
 from .bitset import VertexSet
 from .graph import DirectedGraph
 from .mining import (
-    EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels, zero_stats,
+    EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels,
 )
 from .setcover import pseudo_bases
 
@@ -162,14 +163,13 @@ def mine_feasible_scp(g, source, target, config: MiningConfig) -> Iterator[Minin
 
 def _mine_scp(g, source, target, config, mode) -> Iterator[MiningReport]:
     if config.fidelity == LITERAL:
-        return run_levels(g, source, target, config, "scp", mode, (), literal.scp_level)
-    return run_levels(g, source, target, config, "scp", mode, (), _scp_level, _FORWARD_STATS)
+        return run_levels(g, source, target, config, "scp", mode, (), literal.scp_searches)
+    return run_levels(g, source, target, config, "scp", mode, (), _scp_searches, _FORWARD_STATS)
 
 
-def _scp_level(g, source, target, mode):
-    """Repaired colour search: the :data:`SEARCHES` race, one step each in
-    turn, and the first to finish answers the level. A budget trip ends the
-    race; the report keeps the programs the searches had listed."""
+def _scp_searches(g, source, target, mode):
+    """The repaired colour searches, named by :data:`SEARCHES` in the order
+    :func:`walkmine.mining.run_levels` races them."""
 
     def expand(state, length, positions, stats):
         p, B, M = state
@@ -202,15 +202,7 @@ def _scp_level(g, source, target, mode):
         "forward": lambda *args: _forward_search(g, source.mask, K, mode, *args),
         "backward": backward_search(g, "scp", (), target, mode, expand, accept),
     }
-    race = [searches[name] for name in SEARCHES]
-
-    def level(length, positions, budget):
-        stats, found = zero_stats("scp", _FORWARD_STATS), {}
-        for _ in zip(*(search(length, positions, budget, found, stats) for search in race)):
-            pass  # zip stops as soon as one search finishes
-        return sorted(found), stats
-
-    return level
+    return [searches[name] for name in SEARCHES]
 
 
 def _forward_search(g, S: int, K: list, mode, length, positions, budget, found, stats):

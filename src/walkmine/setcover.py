@@ -70,5 +70,6 @@ def pseudo_bases(g, pool: int, B: int, M: int, c: int, stop: Stop = None) -> lis
     ``stop`` is passed on to :func:`cover_masks`.
     """
     cmask = g.color_mask(c)
-    inside = mask_of(v for v in iter_bits(pool) if g.out_mask(v) & cmask & ~M == 0)
-    return [] if B & ~cmask else cover_masks(g, B, inside, stop)
+    if B & ~cmask:
+        return []
+    return cover_masks(g, B, pool & ~g.in_image(cmask & ~M), stop)

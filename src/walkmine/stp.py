@@ -1,13 +1,14 @@
 """Criterion programs over feature vectors: simulation and mining.
 
 A toset program is a sequence of criteria; each step keeps the out-neighbours
-whose feature vectors satisfy the step's criterion. The default miner shares
-the colour miner's breadth-first search over states (p, B, M), with p a
-criterion suffix: each expansion synthesises the criterion that separates B
-from the vertices a run could actually leak to, and widens M to the whole
-filtered frontier (mirroring the colour miner's repair). The ``literal``
-fidelity, in :mod:`walkmine.literal`, keeps the uncorrected in-neighbourhood
-pools and synthesises criteria per accepted chain.
+whose feature vectors satisfy the step's criterion. The default miner gives
+:func:`walkmine.mining.run_levels` one search to race alone: the colour
+miner's breadth-first search over states (p, B, M), with p a criterion
+suffix. Each expansion synthesises the criterion that separates B from the
+vertices a run could actually leak to, and widens M to the whole filtered
+frontier (mirroring the colour miner's repair). The ``literal`` fidelity, in
+:mod:`walkmine.literal`, keeps the uncorrected in-neighbourhood pools and
+synthesises criteria per accepted chain.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import literal
 from .bitset import VertexSet, iter_bits, mask_of
 from .criterion import Criterion, InseparableError, TosetProgram, compute_criterion, criterion_mask
 from .graph import DirectedGraph
-from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_level, run_levels
+from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels
 from .scp import Classification, classify_trace
 # unused here, but bench/test_reference.py reads stp.minimal_covers
 from .setcover import minimal_covers
@@ -67,8 +68,8 @@ def mine_feasible_stp(g, source, target, config: MiningConfig) -> Iterator[Minin
 
 
 def _mine_stp(g, source, target, config, mode) -> Iterator[MiningReport]:
-    make_level = literal.stp_level if config.fidelity == LITERAL else _stp_level
-    return run_levels(g, source, target, config, "stp", mode, TosetProgram(()), make_level)
+    make_searches = literal.stp_searches if config.fidelity == LITERAL else _stp_searches
+    return run_levels(g, source, target, config, "stp", mode, TosetProgram(()), make_searches)
 
 
 def _filtered_frontier(g, frontier: int, B: int, M: int) -> int:
@@ -93,8 +94,8 @@ def _class_masks(g, pool_mask: int) -> list[int]:
     return list(classes.values())
 
 
-def _stp_level(g, source, target, mode):
-    """Repaired criterion search over states (p, B, M), p a criterion suffix."""
+def _stp_searches(g, source, target, mode):
+    """The repaired criterion search: one backward search over states (p, B, M)."""
 
     def expand(state, length, positions, stats):
         p, B, M = state
@@ -126,4 +127,4 @@ def _stp_level(g, source, target, mode):
     def accept(p):
         return p.key(g) if classify_stp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return backward_level(g, "stp", TosetProgram(()), target, mode, expand, accept)
+    return [backward_search(g, "stp", TosetProgram(()), target, mode, expand, accept)]

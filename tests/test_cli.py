@@ -299,12 +299,35 @@ def test_gen_deterministic(capsys, tmp_path):
           "--engine", "stp", "--program", '{"atom": {"f": "color", "op": "=", "v": "red"}}'), "JSON array"),
         (("verify", "--graph", TWOFEATURE, "--source", TWOFEATURE_SOURCE, "--target", TWOFEATURE_TARGET,
           "--engine", "stp", "--program", '[{"atom": {"f": "n", "op": "<=", "v": NaN}}]'), "non-finite"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--engine", "stp", "--color-dim", "nope"), "colour dimension"),
+        (("verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--engine", "stp", "--program", STEP_PROGRAM, "--color-dim", "nope"), "colour dimension"),
+        (("simulate", "--graph", TWOFEATURE, "--source", TWOFEATURE_SOURCE, "--engine", "stp",
+          "--program", "[]", "--output", "dot", "--color-dim", "n"), "colour dimension"),
+        (("convert", "--graph", FUNNEL, "--color-dim", "nope"), "colour dimension"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and needle in err
+
+
+def test_default_color_dim_may_be_missing(capsys, tmp_path):
+    # criterion mining and convert read no colours, so the default needs no
+    # "color" dimension in the schema
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps({
+        "schema": [{"name": "n", "kind": "ordered"}],
+        "vertices": [{"id": "s", "features": {"n": 0}}, {"id": "t", "features": {"n": 1}}],
+        "edges": [{"src": "s", "dst": "t"}],
+    }))
+    code, out, _ = run(capsys, "mine", "--graph", str(path), "--source-ids", "s", "--target-ids", "t",
+                       "--max-len", "1", "--engine", "stp")
+    assert code == 0 and json.loads(out.splitlines()[1])["programs"]
+    code, out, _ = run(capsys, "convert", "--graph", str(path))
+    assert code == 0 and load_graph(out).n == 2
 
 
 def test_installed_entrypoint():
