@@ -1,5 +1,5 @@
 """Shared mining-run plumbing: configuration, budgets, the per-length driver
-that races a miner's searches, and the repaired miners' backward search."""
+that races a miner's searches, and the repaired backward search and its hooks."""
 
 from __future__ import annotations
 
@@ -39,16 +39,16 @@ class MiningConfig:
     fidelity: str = REPAIRED
 
     def __post_init__(self):
-        if self.max_len < 0:
-            raise ValueError("max_len must be non-negative")
+        for name, least in (("max_len", 0), ("max_programs", 1), ("max_triples", 1)):
+            value = getattr(self, name)
+            if value is None and name != "max_len":
+                continue
+            if type(value) is not int or value < least:  # type(), not isinstance: a bool is no count
+                raise ValueError(f"{name} must be an integer >= {least}")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError("time_budget must be a number of seconds >= 0")
         if self.fidelity not in (REPAIRED, LITERAL):
             raise ValueError(f"unknown fidelity {self.fidelity!r}")
-        for name in ("max_programs", "max_triples"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive")
 
 
 class Budget:
@@ -184,17 +184,22 @@ def start_states(target: int, mode: str, empty) -> list:
     return [(empty, B, target) for B in starts]
 
 
-def backward_search(g, engine, empty, target, mode, expand, accept):
+def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
     """A repaired search, breadth-first over states (p, B, M), one state per step.
 
     A state says that any start set between B and M runs the suffix program
-    ``p`` into the target; the search starts from :func:`start_states`.
-    ``expand(state, length, positions, stats)`` yields ``(newp, pool, keep)``,
-    and each base drawn from the pool gives a state (newp, base, keep) unless
-    seen before at this length. The bases are B's minimal covers in the pool;
-    in the last two steps back, where the next step reads a base only through
-    its class, the pool itself, which ``expand`` yields there only if its
-    image covers B. ``accept(p)`` returns a program's sort key, or None.
+    ``p`` into the target; the search starts from :func:`start_states` and
+    takes every step back itself. The engine's hooks: ``safe(state, base)``,
+    the part of ``base`` whose step stays in M, or None when no step leads
+    into B; ``split(pool, safe)``, the (pool, keep) class pairs of the safe
+    vertices that have an out-neighbour in B; ``label(state, safe, stats)``,
+    the new suffix or None, asked only when some pool survives; ``accept(p)``,
+    a program's sort key or None. The last step back gives the one state
+    (newp, S, S), S the source, when all of S is safe and S's image covers B.
+    Any other keeps only the pools whose image covers B, and each base drawn
+    from one gives a state (newp, base, keep) unless seen at this length:
+    B's minimal covers in the pool, or the pool itself one step before the
+    last, where the next step reads a base only through its class.
 
     Returns ``search(length, positions, budget, found, stats)``, a generator
     that charges the budget for each popped state and yields after it. It
@@ -212,14 +217,25 @@ def backward_search(g, engine, empty, target, mode, expand, accept):
             state = queue.popleft()
             stats[expanded] += 1
             p, B, _ = state
-            if len(p) == length:
+            left = length - len(p)  # steps back still to take
+            if left == 0:
                 key = None if p in found else accept(p)
                 if key is not None and budget.charge_program():
                     found[p] = key
             else:
-                for newp, pool, keep in expand(state, length, positions, stats):
-                    bases = cover_masks(g, B, pool, budget.expired) if len(newp) + 1 < length else [pool]
-                    for basis in bases:
+                base = positions[left - 1]
+                allowed = safe(state, base)
+                if allowed is None:
+                    pairs = []
+                elif left == 1:
+                    # the last base is S itself, and its image is positions[1]
+                    pairs = [(base, base)] if allowed == base and B & ~positions[1] == 0 else []
+                else:
+                    pairs = split(allowed & g.in_image(B), allowed)
+                    pairs = [(pool, keep) for pool, keep in pairs if B & ~g.out_image(pool) == 0]
+                newp = label(state, allowed, stats) if pairs else None
+                for pool, keep in pairs if newp is not None else ():
+                    for basis in cover_masks(g, B, pool, budget.expired) if left > 2 else [pool]:
                         stats["pseudo_bases"] += 1
                         nxt = (newp, basis, keep)
                         if nxt in seen:

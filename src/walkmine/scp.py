@@ -5,7 +5,8 @@ step moves to all out-neighbours and keeps those of the step's colour. The
 backward search works from the target, maintaining triples (suffix, B, M)
 whose meaning is: any start set sandwiched between B and M runs the suffix
 into the target. The default miner keeps that invariant exactly, and gives
-:func:`walkmine.mining.run_levels` two searches to race: the backward search
+:func:`walkmine.mining.run_levels` two searches to race: the shared backward
+search, whose hooks name B's one colour and split pools into colour classes,
 and a forward subset-construction search over endpoint sets; the first to
 finish answers each length. The ``literal`` fidelity, in
 :mod:`walkmine.literal`, reproduces an uncorrected variant of the backward
@@ -171,28 +172,17 @@ def _scp_searches(g, source, target, mode):
     """The repaired colour searches, named by :data:`SEARCHES` in the order
     :func:`walkmine.mining.run_levels` races them."""
 
-    def expand(state, length, positions, stats):
-        p, B, M = state
-        n = len(p)
+    def safe(state, base):
+        _, B, M = state
         c = _mono_color(g, B)
-        if c is None:
-            return
-        base = positions[length - n - 1]
-        # vertices whose c-image leaves M
-        unsafe = g.in_image(g.color_mask(c) & ~M)
-        newp = (c,) + p
-        if n + 1 == length:
-            # last step back: the pool is S itself, and its image is positions[1]
-            if base & unsafe == 0 and B & ~positions[1] == 0:
-                yield (newp, base, base)
-            return
-        inb = g.in_image(B)
-        for d in g.colors_in(base & inb):
-            safe = g.color_mask(d) & base & ~unsafe
-            pool = safe & inb
-            # one step before the last the pool itself is the base, so it must cover B
-            if n + 2 < length or B & ~g.out_image(pool) == 0:
-                yield (newp, pool, safe)
+        # vertices whose c-image leaves M are unsafe
+        return None if c is None else base & ~g.in_image(g.color_mask(c) & ~M)
+
+    def split(pool, safe):
+        return [(pool & g.color_mask(d), safe & g.color_mask(d)) for d in g.colors_in(pool)]
+
+    def label(state, safe, stats):
+        return (_mono_color(g, state[1]),) + state[0]
 
     def accept(p):
         return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None
@@ -200,7 +190,7 @@ def _scp_searches(g, source, target, mode):
     K = [target.mask]  # K[r]: the vertices with a walk of r steps into T
     searches = {
         "forward": lambda *args: _forward_search(g, source.mask, K, mode, *args),
-        "backward": backward_search(g, "scp", (), target, mode, expand, accept),
+        "backward": backward_search(g, "scp", (), target, mode, safe, split, label, accept),
     }
     return [searches[name] for name in SEARCHES]
 

@@ -2,11 +2,11 @@
 
 A toset program is a sequence of criteria; each step keeps the out-neighbours
 whose feature vectors satisfy the step's criterion. The default miner gives
-:func:`walkmine.mining.run_levels` one search to race alone: the colour
-miner's breadth-first search over states (p, B, M), with p a criterion
-suffix. Each expansion synthesises the criterion that separates B from the
-vertices a run could actually leak to, and widens M to the whole filtered
-frontier (mirroring the colour miner's repair). The ``literal`` fidelity, in
+:func:`walkmine.mining.run_levels` one search to race alone: the shared
+backward search over states (p, B, M), p a criterion suffix. Its hooks keep
+the filtered frontier as the safe set and new M, split pools into
+feature-vector classes, and label a step with the criterion that separates B
+from the vertices a run could leak to. The ``literal`` fidelity, in
 :mod:`walkmine.literal`, keeps the uncorrected in-neighbourhood pools and
 synthesises criteria per accepted chain.
 """
@@ -97,34 +97,27 @@ def _class_masks(g, pool_mask: int) -> list[int]:
 def _stp_searches(g, source, target, mode):
     """The repaired criterion search: one backward search over states (p, B, M)."""
 
-    def expand(state, length, positions, stats):
-        p, B, M = state
-        base = positions[length - len(p) - 1]
-        safe = _filtered_frontier(g, base, B, M)
-        # keep only pools whose image covers B, so that no criterion is
-        # synthesised for a state without successors
-        if len(p) + 1 == length:
-            # last step back: the pool is S itself, and its image is positions[1]
-            pools = [base] if safe == base and B & ~positions[1] == 0 else []
-        else:
-            # pools stay vector-homogeneous, so each synthesized step selects
-            # a single feature class
-            pools = _class_masks(g, safe & g.in_image(B))
-            pools = [pool for pool in pools if B & ~g.out_image(pool) == 0]
-        if not pools:
-            return []
+    def safe(state, base):
+        return _filtered_frontier(g, base, state[1], state[2])
+
+    def split(pool, safe):
+        # pools stay vector-homogeneous, so each synthesized step selects a
+        # single feature class
+        return [(cls, safe) for cls in _class_masks(g, pool)]
+
+    def label(state, safe, stats):
         # every new state has M = safe, so the step's E side is what safe can
         # reach outside M, and the step's criterion is the same for all of them
+        p, B, M = state
         E = g.out_image(safe) & ~M
         try:
             crit = compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
         except InseparableError:
             stats["inseparable"] += 1
-            return []
-        newp = TosetProgram((crit,) + p.steps)
-        return [(newp, pool, safe) for pool in pools]
+            return None
+        return TosetProgram((crit,) + p.steps)
 
     def accept(p):
         return p.key(g) if classify_stp(g, source, target, p).kind in (EXACT, mode) else None
 
-    return [backward_search(g, "stp", TosetProgram(()), target, mode, expand, accept)]
+    return [backward_search(g, "stp", TosetProgram(()), target, mode, safe, split, label, accept)]

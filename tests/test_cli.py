@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,7 +252,7 @@ def test_gen_deterministic(capsys, tmp_path):
         assert code == 0
         paths = [line.strip() for line in out.splitlines()]
         assert len(paths) == 3
-        outs.append([open(p, "rb").read() for p in paths])
+        outs.append([Path(p).read_bytes() for p in paths])
     assert outs[0] == outs[1]
 
 

@@ -135,6 +135,11 @@ def test_instance_validation(funnel):
         MiningConfig(max_len=1, fidelity="verbatim")
     with pytest.raises(ValueError):
         MiningConfig(max_len=1, max_triples=0)
+    # caps are counts: a float or a bool is refused, not rounded or compared
+    for caps in ({"max_len": 2.5}, {"max_len": True}, {"max_len": 4, "max_programs": 2.5},
+                 {"max_len": 4, "max_programs": True}, {"max_len": 4, "max_triples": 7.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MiningConfig(**caps)
 
 
 def test_triple_cap_marks_unexhausted(funnel):
