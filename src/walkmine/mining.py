@@ -8,9 +8,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .bitset import VertexSet, iter_bits
+from .bitset import VertexSet, iter_bits, mask_of
 from .graph import DirectedGraph
-from .setcover import cover_masks
+from .setcover import iter_covers
 
 REPAIRED = "repaired"
 LITERAL = "literal"
@@ -45,7 +45,9 @@ class MiningConfig:
                 continue
             if type(value) is not int or value < least:  # type(), not isinstance: a bool is no count
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if self.time_budget is not None and not self.time_budget >= 0:
+        seconds = self.time_budget
+        if seconds is not None and (type(seconds) is bool or not isinstance(seconds, (int, float))
+                                    or not seconds >= 0):
             raise ValueError("time_budget must be a number of seconds >= 0")
         if self.fidelity not in (REPAIRED, LITERAL):
             raise ValueError(f"unknown fidelity {self.fidelity!r}")
@@ -202,10 +204,11 @@ def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
     last, where the next step reads a base only through its class.
 
     Returns ``search(length, positions, budget, found, stats)``, a generator
-    that charges the budget for each popped state and yields after it. It
-    stops when the queue empties or the budget trips, also in the middle of
-    a cover enumeration, and it records each accepted program p, while the
-    budget admits it, as ``found[p] = key``.
+    that charges the budget and yields once per popped state and once per
+    branch of a cover enumeration (:func:`walkmine.setcover.iter_covers`),
+    so a race switches searches inside a long listing. It stops when the
+    queue empties or a charge is refused, and it records each accepted
+    program p, while the budget admits it, as ``found[p] = key``.
     """
     expanded = _STATS[engine][0]
     seeds = start_states(target.mask, mode, empty)
@@ -235,7 +238,16 @@ def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
                     pairs = [(pool, keep) for pool, keep in pairs if B & ~g.out_image(pool) == 0]
                 newp = label(state, allowed, stats) if pairs else None
                 for pool, keep in pairs if newp is not None else ():
-                    for basis in cover_masks(g, B, pool, budget.expired) if left > 2 else [pool]:
+                    drawn = []  # B's minimal covers in the pool, one charged step per branch
+                    for cover in (iter_covers(B, [(v, g.out_mask(v) & B) for v in iter_bits(pool)])
+                                  if left > 2 else ()):
+                        if cover is not None:
+                            drawn.append(cover)
+                        elif not budget.charge_triple():
+                            return
+                        else:
+                            yield
+                    for basis in [mask_of(ids) for ids in sorted(drawn)] if left > 2 else [pool]:
                         stats["pseudo_bases"] += 1
                         nxt = (newp, basis, keep)
                         if nxt in seen:

@@ -1,57 +1,60 @@
-"""Enumeration of minimal set covers over bitmask universes, and the
-pseudo-bases the colour miners draw from them."""
+"""Minimal set covers over bitmask universes, enumerated one branch at a
+time, and the pseudo-bases the colour miners draw from them."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bitset import iter_bits, mask_of
 
 Stop = Optional[Callable[[], bool]]  # asked during an enumeration; True ends it early
 
 
-def minimal_covers(
-    target_mask: int, candidates: Sequence[tuple[int, int]], stop: Stop = None
-) -> list[tuple[int, ...]]:
-    """All minimal covers of ``target_mask`` drawn from ``candidates``.
+def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[Optional[tuple[int, ...]]]:
+    """The minimal covers of ``target`` drawn from ``candidates``, one branch at a time.
 
     ``candidates`` pairs a member id with the mask it covers. A cover is a
     set of members whose masks jointly contain the target; it is minimal when
-    dropping any member breaks that. Returns each cover as a sorted id tuple,
-    with the whole list sorted lexicographically. An empty target has exactly
-    the empty cover. ``stop`` is asked before each branch; once it returns
-    True the enumeration ends, and only the covers found so far are returned.
+    dropping any member breaks that. The search is depth-first over an
+    explicit stack, not recursion. It yields each cover as a sorted id
+    tuple, and None before each branch, where a caller may charge or stop;
+    a branch is a partial cover, extended by one member per option.
     """
-    if target_mask == 0:
-        return [()]
-    cands = sorted((vid, img & target_mask) for vid, img in candidates)
+    cands = sorted((vid, img & target) for vid, img in candidates)
     cands = [(vid, img) for vid, img in cands if img]
-    results: list[tuple[int, ...]] = []
-
-    def search(covered: int, twice: int, chosen: list, banned: frozenset):
-        if stop is not None and stop():
-            return
-        if covered == target_mask:
-            results.append(tuple(sorted(vid for vid, _ in chosen)))
-            return
+    stack = [(0, 0, (), frozenset())]  # branches to take: (covered, twice, chosen, banned)
+    while stack:
+        covered, twice, chosen, banned = stack.pop()
+        if covered == target:
+            yield tuple(sorted(vid for vid, _ in chosen))
+            continue
+        yield None
         # branch on the lowest uncovered element; each surviving cover picks
         # its smallest-id member covering it, so no cover appears twice
-        low = (target_mask & ~covered) & -(target_mask & ~covered)
+        low = (target & ~covered) & -(target & ~covered)
         options = [(vid, img) for vid, img in cands if img & low and vid not in banned]
-        skipped: set[int] = set()
-        for vid, img in options:
+        for i, (vid, img) in reversed(list(enumerate(options))):  # pushed last first, taken in order
             # ``twice`` holds the elements covered at least twice; a chosen
             # member whose mask lies inside it has no private element left and
             # stays redundant in every superset, so the branch is cut (the new
             # member keeps ``low`` to itself)
             dup = twice | (covered & img)
             if dup == twice or all(m & ~dup for _, m in chosen):
-                search(covered | img, dup, chosen + [(vid, img)], banned | frozenset(skipped))
-            skipped.add(vid)
+                skipped = banned.union(v for v, _ in options[:i])
+                stack.append((covered | img, dup, chosen + ((vid, img),), skipped))
 
-    search(0, 0, [], frozenset())
-    results.sort()
-    return results
+
+def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]], stop: Stop = None) -> list[tuple]:
+    """The covers :func:`iter_covers` finds, sorted lexicographically (an empty
+    target has the one cover ``()``). ``stop`` is asked before each branch;
+    once it returns True, only the covers found so far are returned."""
+    results = []
+    for cover in iter_covers(target_mask, candidates):
+        if cover is not None:
+            results.append(cover)
+        elif stop is not None and stop():
+            break
+    return sorted(results)
 
 
 def cover_masks(g, B: int, pool: int, stop: Stop = None) -> list[int]:

@@ -170,3 +170,41 @@ def test_bases_are_covers_until_one_step_before_the_last():
     # pool itself, {a, b} for c although a and b each cover it alone
     assert states == [_mask("t"), _mask("c"), _mask("d"), _mask("a", "b"), _mask("b")]
     assert found == [("x", "x", "x")]
+
+
+# s -> {p1, p2} -> {m1, m2, m3, m4}; m1 and m3 -> x, m2 and m4 -> y
+_GRID = color_graph(
+    ["s", "p1", "p2", "m1", "m2", "m3", "m4", "x", "y"], ["gray"] * 9,
+    [("s", "p1"), ("s", "p2")] + [(p, m) for p in ("p1", "p2") for m in ("m1", "m2", "m3", "m4")]
+    + [("m1", "x"), ("m3", "x"), ("m2", "y"), ("m4", "y")],
+)
+
+
+def _cover_listing(max_triples=None):
+    """Run the exact search for {x, y} from {s} at length 3 with pass-through
+    hooks; return its yields, the budget and the stats."""
+    g = _GRID
+    positions = [vs(g, "s").mask]
+    while len(positions) <= 3:
+        positions.append(g.out_image(positions[-1]))
+    search = backward_search(g, "scp", (), vs(g, "x", "y"), "exact", lambda state, base: base,
+                             lambda pool, allowed: [(pool, allowed)],
+                             lambda state, allowed, stats: ("x",) + state[0], lambda p: p)
+    budget = Budget(MiningConfig(max_len=3, max_triples=max_triples))
+    stats = {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
+    yields = sum(1 for _ in search(3, positions, budget, {}, stats))
+    return yields, budget, stats
+
+
+def test_each_cover_branch_is_charged_and_yielded():
+    # three steps back, {x, y}'s four covers in {m1, m2, m3, m4} take three
+    # branches: the root picks m1 or m3 for x, then each picks m2 or m4 for y;
+    # every popped state is charged and yielded too
+    yields, budget, stats = _cover_listing()
+    assert stats["triples_expanded"] == 7 and stats["pseudo_bases"] == 4 + 4 + 1
+    assert budget.triples == yields == 7 + 3
+    # the third branch's charge is refused: the search ends inside the
+    # listing, after one popped state and two branches, and queues nothing
+    yields, budget, stats = _cover_listing(max_triples=3)
+    assert budget.tripped and yields == 2 and budget.triples == 4
+    assert stats["triples_expanded"] == 1 and stats["pseudo_bases"] == 0

@@ -140,6 +140,10 @@ def test_instance_validation(funnel):
                  {"max_len": 4, "max_programs": True}, {"max_len": 4, "max_triples": 7.0}):
         with pytest.raises(ValueError, match="must be an integer"):
             MiningConfig(**caps)
+    # a time budget is a number of seconds: a bool or a string is refused
+    for budget in (True, "5"):
+        with pytest.raises(ValueError, match="time_budget"):
+            MiningConfig(max_len=1, time_budget=budget)
 
 
 def test_triple_cap_marks_unexhausted(funnel):
@@ -308,12 +312,58 @@ def test_last_step_tests_the_source_itself(miner, green):
 @pytest.mark.parametrize("miner", [mine_exact_scp, mine_exact_stp], ids=lambda miner: miner.__name__)
 def test_interior_cover_enumeration_keeps_the_time_budget(miner):
     """Three steps back the 2^m minimal covers of the reds among the blues
-    are listed; the listing stops at the deadline, and the length is cut off."""
+    are listed; the listing stops at the deadline, and the length is cut off.
+    ``scp`` runs its backward search alone: the race answers this gadget."""
+    if miner is mine_exact_scp:
+        miner = scp_miner("exact", ("backward",))
     g, S, T = _cover_gadget(16, ("green", "yellow"))
     start = time.monotonic()
     reports = mine_all(miner, g, S, T, MiningConfig(max_len=3, time_budget=0.05))
     assert time.monotonic() - start < 0.5
     assert max(reports) == 3 and not reports[3].exhausted
+
+
+@pytest.mark.parametrize("caps", [{}, {"time_budget": 0.05}], ids=["uncapped", "time_budget"])
+def test_race_answers_before_the_cover_listing_ends(caps):
+    """The backward search yields after each branch of its 2^18-cover listing,
+    so the forward search finishes the race after a few turns."""
+    g, S, T = _cover_gadget(18, ("green", "yellow"))
+    start = time.monotonic()
+    reports = mine_all(mine_exact_scp, g, S, T, MiningConfig(max_len=3, **caps))
+    assert time.monotonic() - start < 0.5
+    assert color_names(g, reports[3].programs) == [("yellow", "blue", "red")]
+    assert reports[3].exhausted
+
+
+@pytest.mark.parametrize(
+    "miner", [scp_miner("exact", ("backward",)), mine_exact_stp], ids=["scp-backward", "mine_exact_stp"]
+)
+def test_triple_cap_bounds_a_cover_listing(miner):
+    """Each branch of a cover listing is charged to ``max_triples``."""
+    g, S, T = _cover_gadget(18, ("green", "yellow"))
+    start = time.monotonic()
+    reports = mine_all(miner, g, S, T, MiningConfig(max_len=3, max_triples=1000))
+    assert time.monotonic() - start < 0.5
+    assert max(reports) == 3 and not reports[3].exhausted
+
+
+def _matched_layers(width, layers=4):
+    """``layers`` layers of ``width`` red vertices, a perfect matching between
+    consecutive layers; S is the first layer and T the last."""
+    names = [f"v{i}_{k}" for i in range(layers) for k in range(width)]
+    edges = [(f"v{i}_{k}", f"v{i + 1}_{k}") for i in range(layers - 1) for k in range(width)]
+    g = color_graph(names, ["red"] * len(names), edges)
+    return g, vs(g, *names[:width]), vs(g, *names[-width:])
+
+
+@pytest.mark.parametrize("miner", [mine_exact_scp, mine_exact_stp], ids=lambda miner: miner.__name__)
+def test_a_cover_of_many_members_needs_no_recursion(miner):
+    # T's one minimal cover three steps back holds all 1,100 vertices of layer 2
+    g, S, T = _matched_layers(1100)
+    reports = mine_all(miner, g, S, T, MiningConfig(max_len=3))
+    assert len(reports[3].programs) == 1 and reports[3].exhausted
+    assert render_program(g, reports[3].programs[0]) in (
+        ["red"] * 3, [{"atom": {"f": "color", "op": "=", "v": "red"}}] * 3)
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,7 +2,7 @@ import random
 
 from walkmine.bitset import VertexSet, mask_of
 from walkmine.oracle import minimal_covers_bruteforce
-from walkmine.setcover import minimal_covers
+from walkmine.setcover import iter_covers, minimal_covers
 
 
 def test_empty_target_has_the_empty_cover():
@@ -35,6 +35,27 @@ def test_deterministic_lexicographic_order():
     out = minimal_covers(0b11, cands)
     assert out == sorted(out)
     assert out == [(1, 5), (3,)]
+
+
+def test_iter_covers_yields_before_each_branch():
+    # the root branches on element 0 with v1 or v3; v1 then branches on
+    # element 1, with v2 alone; a completed cover branches no further
+    cands = [(1, 0b01), (2, 0b10), (3, 0b11)]
+    assert list(iter_covers(0b11, cands)) == [None, None, (1, 2), (3,)]
+    assert list(iter_covers(0, cands)) == [()]
+
+
+def test_stop_keeps_the_covers_found_so_far():
+    asked = []
+    cands = [(1, 0b01), (2, 0b10), (3, 0b11), (4, 0b01)]
+    # the third branch, v4's, is stopped; (1, 2) and (3,) were found before it
+    assert minimal_covers(0b11, cands, lambda: asked.append(None) or len(asked) > 2) == [(1, 2), (3,)]
+    assert len(asked) == 3
+
+
+def test_a_cover_of_many_members_needs_no_recursion():
+    n = 1100
+    assert minimal_covers((1 << n) - 1, [(i, 1 << i) for i in range(n)]) == [tuple(range(n))]
 
 
 def test_matches_bruteforce_on_random_instances():
