@@ -317,6 +317,7 @@ class MultiGraph:
             raise ValueError("vertex names must be unique")
         self.schema = schema
         self.names = tuple(names)
+        self._ids = {name: v for v, name in enumerate(self.names)}
         self.rows = tuple(tuple(r) for r in rows)
         self.color_dim = color_dim
         self.n = len(names)
@@ -330,7 +331,9 @@ class MultiGraph:
         self.edges = tuple((s, d, dict(f) if f else {}) for s, d, f in edges)
 
     def vertex_id(self, name: str) -> int:
-        return self.names.index(name)
+        if name not in self._ids:
+            raise KeyError(f"no vertex named {name!r}")
+        return self._ids[name]
 
 
 def convert_multigraph(mg: MultiGraph) -> DirectedGraph:

@@ -3,10 +3,12 @@
 Kept for comparison with the repaired searches in :mod:`walkmine.scp` and
 :mod:`walkmine.stp`. Each factory returns a one-search list for
 :func:`walkmine.mining.run_levels`; the search yields once per popped state
-and lists its programs into the driver's ``found``. Unlike the repaired
-searches, a literal search does not restart at each length: the states
-whose suffix reaches one viable length are carried into the next viable
-length's queue and extended from there.
+and per branch of a cover listing, and lists its programs into the driver's
+``found``. A refused charge trips the budget and ends the queue loop, after
+which the criterion search still synthesises the chains it accepted. Unlike
+the repaired searches, a literal search does not restart at each length: the
+states whose suffix reaches one viable length are carried into the next
+viable length's queue and extended from there.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import deque
 from .bitset import iter_bits
 from .criterion import InseparableError, TosetProgram, compute_criterion
 from .mining import EXACT, start_states
-from .setcover import cover_masks, pseudo_bases
+from .setcover import cover_masks
 
 
 def _scp_seeds(g, target: int, mode: str) -> list:
@@ -55,10 +57,14 @@ def scp_searches(g, source, target, mode):
             else:
                 pool = positions[length - n - 1] & g.in_image(B)
                 for c in g.colors_in(B):
-                    newp = (c,) + p
+                    cmask = g.color_mask(c)
+                    if B & ~cmask:
+                        continue  # no c-image covers B
+                    # members whose own c-image leaves M are excluded up front
+                    newp, leaky = (c,) + p, g.in_image(cmask & ~M)
                     for d in g.colors_in(pool):
                         nd = pool if length == n + 1 else g.color_mask(d) & pool
-                        for basis in pseudo_bases(g, nd, B, M, c, budget.expired):
+                        for basis in (yield from cover_masks(g, B, nd & ~leaky, budget)) or ():
                             stats["pseudo_bases"] += 1
                             triple = (newp, basis, nd)
                             if triple in seen:
@@ -104,7 +110,7 @@ def stp_searches(g, source, target, mode):
             else:
                 pool = _strict_filter(g, g.in_image(B) & positions[length - n], B, M)
                 inside = pool & ~g.in_image(~M & ((1 << g.n) - 1))
-                for basis in cover_masks(g, B, inside, budget.expired):
+                for basis in (yield from cover_masks(g, B, inside, budget)) or ():
                     stats["pseudo_bases"] += 1
                     queue.append(((basis, pool, n),) + chain)
             yield

@@ -8,9 +8,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .bitset import VertexSet, iter_bits, mask_of
+from .bitset import VertexSet, iter_bits
 from .graph import DirectedGraph
-from .setcover import iter_covers
+from .setcover import cover_masks
 
 REPAIRED = "repaired"
 LITERAL = "literal"
@@ -67,13 +67,16 @@ class Budget:
         self.tripped = False
 
     def charge_triple(self) -> bool:
-        """Account for one search step; False once over budget."""
+        """Account for one search step; False, tripping the budget, once over
+        ``max_triples`` or past the deadline."""
         if self.tripped:
             return False
         self.triples += 1
         if self._max_triples is not None and self.triples > self._max_triples:
             self.tripped = True
-        return not self.expired()
+        elif self._deadline is not None and time.monotonic() > self._deadline:
+            self.tripped = True
+        return not self.tripped
 
     def charge_program(self) -> bool:
         """Account for one listed program; False, listing nothing, once
@@ -84,12 +87,6 @@ class Budget:
             if self.programs == self._max_programs:
                 self.tripped = True
         return not full
-
-    def expired(self) -> bool:
-        """Has the budget tripped? Checks the deadline, and trips on it."""
-        if not self.tripped and self._deadline is not None and time.monotonic() > self._deadline:
-            self.tripped = True
-        return self.tripped
 
 
 def render_program(g: DirectedGraph, program) -> list:
@@ -205,8 +202,8 @@ def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
 
     Returns ``search(length, positions, budget, found, stats)``, a generator
     that charges the budget and yields once per popped state and once per
-    branch of a cover enumeration (:func:`walkmine.setcover.iter_covers`),
-    so a race switches searches inside a long listing. It stops when the
+    branch of a cover listing (:func:`walkmine.setcover.cover_masks`), so a
+    race switches searches inside a long listing. It stops when the
     queue empties or a charge is refused, and it records each accepted
     program p, while the budget admits it, as ``found[p] = key``.
     """
@@ -238,16 +235,10 @@ def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
                     pairs = [(pool, keep) for pool, keep in pairs if B & ~g.out_image(pool) == 0]
                 newp = label(state, allowed, stats) if pairs else None
                 for pool, keep in pairs if newp is not None else ():
-                    drawn = []  # B's minimal covers in the pool, one charged step per branch
-                    for cover in (iter_covers(B, [(v, g.out_mask(v) & B) for v in iter_bits(pool)])
-                                  if left > 2 else ()):
-                        if cover is not None:
-                            drawn.append(cover)
-                        elif not budget.charge_triple():
-                            return
-                        else:
-                            yield
-                    for basis in [mask_of(ids) for ids in sorted(drawn)] if left > 2 else [pool]:
+                    bases = (yield from cover_masks(g, B, pool, budget)) if left > 2 else [pool]
+                    if bases is None:
+                        return
+                    for basis in bases:
                         stats["pseudo_bases"] += 1
                         nxt = (newp, basis, keep)
                         if nxt in seen:

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import literal
-from .bitset import VertexSet
+from .bitset import VertexSet, iter_bits
 from .graph import DirectedGraph
 from .mining import (
     EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels,
 )
-from .setcover import pseudo_bases
+from .setcover import minimal_covers
 
 INFEASIBLE = "infeasible"
 COMPLETE_HALT = "complete_halt"
@@ -139,8 +139,10 @@ def enumerate_pseudo_bases(
     """
     if not B:
         raise ValueError("pseudo-bases are defined for nonempty B")
-    for mask in pseudo_bases(g, pool.mask, B.mask, M.mask, c):
-        yield VertexSet(g.n, mask)
+    cmask = g.color_mask(c)
+    tight = pool.mask & ~g.in_image(cmask & ~M.mask) if B.mask & ~cmask == 0 else 0
+    for ids in minimal_covers(B.mask, [(v, g.out_mask(v) & B.mask) for v in iter_bits(tight)]):
+        yield VertexSet.from_ids(g.n, ids)
 
 
 # -- mining -------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Minimal set covers over bitmask universes, enumerated one branch at a
-time, and the pseudo-bases the colour miners draw from them."""
+time, and the charged cover listing every backward search draws its bases
+from."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bitset import iter_bits, mask_of
-
-Stop = Optional[Callable[[], bool]]  # asked during an enumeration; True ends it early
 
 
 def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[Optional[tuple[int, ...]]]:
@@ -44,35 +43,27 @@ def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[
                 stack.append((covered | img, dup, chosen + ((vid, img),), skipped))
 
 
-def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]], stop: Stop = None) -> list[tuple]:
+def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> list[tuple]:
     """The covers :func:`iter_covers` finds, sorted lexicographically (an empty
-    target has the one cover ``()``). ``stop`` is asked before each branch;
-    once it returns True, only the covers found so far are returned."""
-    results = []
-    for cover in iter_covers(target_mask, candidates):
-        if cover is not None:
-            results.append(cover)
-        elif stop is not None and stop():
-            break
-    return sorted(results)
+    target has the one cover ``()``)."""
+    return sorted(cover for cover in iter_covers(target_mask, candidates) if cover is not None)
 
 
-def cover_masks(g, B: int, pool: int, stop: Stop = None) -> list[int]:
-    """Minimal subsets of ``pool`` whose out-neighbourhoods cover B, as int
-    masks over ``g``'s vertices, in lexicographic order of sorted member ids;
-    ``stop`` cuts the enumeration short as in :func:`minimal_covers`."""
-    candidates = [(v, g.out_mask(v) & B) for v in iter_bits(pool)]
-    return [mask_of(ids) for ids in minimal_covers(B, candidates, stop)]
+def cover_masks(g, B: int, pool: int, budget):
+    """Minimal subsets of ``pool`` whose out-neighbourhoods cover B, under a budget.
 
-
-def pseudo_bases(g, pool: int, B: int, M: int, c: int, stop: Stop = None) -> list[int]:
-    """Minimal subsets of ``pool`` whose c-image covers B without leaving M.
-
-    Members whose own c-image leaks outside M are excluded up front; the
-    union of per-member images stays in M exactly when each one does.
-    ``stop`` is passed on to :func:`cover_masks`.
+    A generator for a search to drive with ``yield from``: it makes one
+    ``budget.charge_triple()`` and one ``yield`` per branch of
+    :func:`iter_covers`, and returns the covers as int masks over ``g``'s
+    vertices, in lexicographic order of sorted member ids, or None once a
+    charge is refused.
     """
-    cmask = g.color_mask(c)
-    if B & ~cmask:
-        return []
-    return cover_masks(g, B, pool & ~g.in_image(cmask & ~M), stop)
+    drawn = []
+    for cover in iter_covers(B, [(v, g.out_mask(v) & B) for v in iter_bits(pool)]):
+        if cover is not None:
+            drawn.append(cover)
+        elif not budget.charge_triple():
+            return None
+        else:
+            yield
+    return [mask_of(ids) for ids in sorted(drawn)]

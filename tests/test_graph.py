@@ -190,6 +190,14 @@ def test_convert_multigraph_subdivides():
     assert set(g.edges()) == {(0, 2), (2, 1), (0, 3), (3, 1)}
 
 
+def test_multigraph_vertex_id():
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    mg = MultiGraph(schema, ["u", "v"], [("r",), ("g",)], [(0, 1, None)])
+    assert mg.vertex_id("v") == 1
+    with pytest.raises(KeyError, match="no vertex named 'zz'"):
+        mg.vertex_id("zz")
+
+
 def test_convert_multigraph_name_clash():
     schema = FeatureSchema((Dimension("color", CATEGORICAL),))
     mg = MultiGraph(schema, ["u", "v", "u->v"], [("r",), ("g",), ("b",)], [(0, 1, None)])

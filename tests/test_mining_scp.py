@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import time
@@ -9,7 +10,7 @@ from helpers import color_graph, color_names, mine_all, name_program, scp_miner,
 from walkmine.bitset import VertexSet
 from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
-from walkmine.mining import Budget, MiningConfig, render_program
+from walkmine.mining import LITERAL, Budget, MiningConfig, render_program
 from walkmine.oracle import brute_force_mine_scp
 from walkmine.scp import SEARCHES, classify_scp, mine_exact_scp, mine_feasible_scp
 from walkmine.stp import mine_exact_stp, mine_feasible_stp
@@ -309,11 +310,26 @@ def test_last_step_tests_the_source_itself(miner, green):
     assert capped[n].programs == [p] and capped[n].exhausted
 
 
-@pytest.mark.parametrize("miner", [mine_exact_scp, mine_exact_stp], ids=lambda miner: miner.__name__)
+def _literal(miner):
+    """``miner`` run with the ``literal`` fidelity."""
+
+    def literal(g, source, target, config):
+        return miner(g, source, target, dataclasses.replace(config, fidelity=LITERAL))
+
+    literal.__name__ = f"{miner.__name__}-literal"
+    return literal
+
+
+@pytest.mark.parametrize(
+    "miner",
+    [mine_exact_scp, mine_exact_stp, _literal(mine_exact_scp), _literal(mine_exact_stp)],
+    ids=lambda miner: miner.__name__,
+)
 def test_interior_cover_enumeration_keeps_the_time_budget(miner):
     """Three steps back the 2^m minimal covers of the reds among the blues
     are listed; the listing stops at the deadline, and the length is cut off.
-    ``scp`` runs its backward search alone: the race answers this gadget."""
+    Repaired ``scp`` runs its backward search alone: the race answers this
+    gadget."""
     if miner is mine_exact_scp:
         miner = scp_miner("exact", ("backward",))
     g, S, T = _cover_gadget(16, ("green", "yellow"))
@@ -336,10 +352,13 @@ def test_race_answers_before_the_cover_listing_ends(caps):
 
 
 @pytest.mark.parametrize(
-    "miner", [scp_miner("exact", ("backward",)), mine_exact_stp], ids=["scp-backward", "mine_exact_stp"]
+    "miner",
+    [scp_miner("exact", ("backward",)), mine_exact_stp, _literal(mine_exact_scp), _literal(mine_exact_stp)],
+    ids=["scp-backward", "mine_exact_stp", "mine_exact_scp-literal", "mine_exact_stp-literal"],
 )
 def test_triple_cap_bounds_a_cover_listing(miner):
-    """Each branch of a cover listing is charged to ``max_triples``."""
+    """Each branch of a cover listing is charged to ``max_triples``, in
+    every search."""
     g, S, T = _cover_gadget(18, ("green", "yellow"))
     start = time.monotonic()
     reports = mine_all(miner, g, S, T, MiningConfig(max_len=3, max_triples=1000))

@@ -19,8 +19,8 @@ RUNS = (
     ("literal", 4, (mine_exact_scp, mine_feasible_scp)),
     ("literal", 3, (mine_exact_stp, mine_feasible_stp)),
 )
-REPORTS = 5492
-SHA256 = "579eab2c9aca426ae4247bd6646b75f13796dbe4a3fdb64f6cf7aeee9d1680a6"
+REPORTS = 5463
+SHA256 = "72f33e1b1ade7c3d8f1737c6c42d22b47a1506d6cce77dd94dd143e38e80b394"
 
 STP_RUNS = (("repaired", 3, (mine_exact_stp, mine_feasible_stp)),)
 STP_REPORTS = 1590

@@ -1,8 +1,10 @@
 import random
 
+from helpers import color_graph
 from walkmine.bitset import VertexSet, mask_of
+from walkmine.mining import Budget, MiningConfig
 from walkmine.oracle import minimal_covers_bruteforce
-from walkmine.setcover import iter_covers, minimal_covers
+from walkmine.setcover import cover_masks, iter_covers, minimal_covers
 
 
 def test_empty_target_has_the_empty_cover():
@@ -45,12 +47,33 @@ def test_iter_covers_yields_before_each_branch():
     assert list(iter_covers(0, cands)) == [()]
 
 
-def test_stop_keeps_the_covers_found_so_far():
-    asked = []
-    cands = [(1, 0b01), (2, 0b10), (3, 0b11), (4, 0b01)]
-    # the third branch, v4's, is stopped; (1, 2) and (3,) were found before it
-    assert minimal_covers(0b11, cands, lambda: asked.append(None) or len(asked) > 2) == [(1, 2), (3,)]
-    assert len(asked) == 3
+def _drive(listing):
+    """Run a cover listing to its end: (yields, returned value)."""
+    yields = 0
+    while True:
+        try:
+            next(listing)
+        except StopIteration as done:
+            return yields, done.value
+        yields += 1
+
+
+def test_cover_masks_charges_each_branch():
+    # v0..v3 point into {t0, t1} as the masks 0b01, 0b10, 0b11, 0b01 do
+    g = color_graph(["v0", "v1", "v2", "v3", "t0", "t1"], ["red"] * 6,
+                    [("v0", "t0"), ("v1", "t1"), ("v2", "t0"), ("v2", "t1"), ("v3", "t0")])
+    B, pool = mask_of([4, 5]), mask_of(range(4))
+    cands = [(v, g.out_mask(v) & B) for v in range(4)]
+    branches = sum(cover is None for cover in iter_covers(B, cands))
+    budget = Budget(MiningConfig(max_len=0))
+    yields, masks = _drive(cover_masks(g, B, pool, budget))
+    assert masks == [mask_of(ids) for ids in minimal_covers(B, cands)]
+    assert masks == [mask_of([0, 1]), mask_of([1, 3]), mask_of([2])]
+    assert yields == budget.triples == branches > 2
+    for cap in range(1, branches):
+        budget = Budget(MiningConfig(max_len=0, max_triples=cap))
+        assert _drive(cover_masks(g, B, pool, budget)) == (cap, None)
+        assert budget.triples == cap + 1 and budget.tripped
 
 
 def test_a_cover_of_many_members_needs_no_recursion():
