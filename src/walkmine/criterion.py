@@ -224,6 +224,27 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
     return clauses[0] if len(clauses) == 1 else AnyOf(tuple(clauses))
 
 
+def criterion_memo(g: DirectedGraph):
+    """``step(B, M, E)``: the criterion separating the vertex masks B and E of ``g``.
+
+    ``step`` returns ``None`` when B and E share a feature vector. Each
+    distinct (B, M, E) triple is synthesised once and its result kept for as
+    long as ``step`` lives, so a search makes one memo per mining run.
+    """
+    memo: dict = {}
+
+    def step(B: int, M: int, E: int):
+        key = (B, M, E)
+        if key not in memo:
+            try:
+                memo[key] = compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
+            except InseparableError:
+                memo[key] = None
+        return memo[key]
+
+    return step
+
+
 # -- serialization ------------------------------------------------------------
 
 
@@ -252,6 +273,8 @@ def criterion_from_dict(doc, schema: FeatureSchema) -> Criterion:
     raw = doc["atom"]
     if not isinstance(raw, dict) or set(raw) != {"f", "op", "v"}:
         raise ValueError("atom needs exactly the keys f, op, v")
+    if not isinstance(raw["f"], str):
+        raise ValueError(f"feature name must be a string, not {raw['f']!r}")
     if not schema.has(raw["f"]):
         raise ValueError(f"unknown feature {raw['f']!r}")
     dim = schema.index(raw["f"])

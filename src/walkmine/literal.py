@@ -14,9 +14,10 @@ viable length's queue and extended from there.
 from __future__ import annotations
 
 from collections import deque
+from itertools import takewhile
 
 from .bitset import iter_bits
-from .criterion import InseparableError, TosetProgram, compute_criterion
+from .criterion import TosetProgram, criterion_memo
 from .mining import EXACT, start_states
 from .setcover import cover_masks
 
@@ -93,6 +94,7 @@ def stp_searches(g, source, target, mode):
     """Uncorrected criterion search: in-neighbourhood pools, synthesis afterwards."""
     S = source.mask
     carry = deque(((B, M, 0),) for _, B, M in start_states(target.mask, mode, ()))
+    step = criterion_memo(g)
 
     def search(length, positions, budget, found, stats):
         nonlocal carry
@@ -116,13 +118,9 @@ def stp_searches(g, source, target, mode):
             yield
         keys = set()
         for chain in accepted:
-            elements = [(B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:]]
-            try:
-                program = TosetProgram(tuple(
-                    compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
-                    for B, M, E in elements
-                ))
-            except InseparableError:
+            crits = (step(B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:])
+            program = TosetProgram(tuple(takewhile(lambda crit: crit is not None, crits)))
+            if len(program) < len(chain) - 1:
                 stats["inseparable"] += 1
                 continue
             key = program.key(g)

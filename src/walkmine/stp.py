@@ -6,9 +6,10 @@ whose feature vectors satisfy the step's criterion. The default miner gives
 backward search over states (p, B, M), p a criterion suffix. Its hooks keep
 the filtered frontier as the safe set and new M, split pools into
 feature-vector classes, and label a step with the criterion that separates B
-from the vertices a run could leak to. The ``literal`` fidelity, in
-:mod:`walkmine.literal`, keeps the uncorrected in-neighbourhood pools and
-synthesises criteria per accepted chain.
+from the vertices a run could leak to, synthesised once per distinct input
+in a run. The ``literal`` fidelity, in :mod:`walkmine.literal`, keeps the
+uncorrected in-neighbourhood pools and synthesises criteria per accepted
+chain.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator
 
 from . import literal
 from .bitset import VertexSet, iter_bits, mask_of
-from .criterion import Criterion, InseparableError, TosetProgram, compute_criterion, criterion_mask
+from .criterion import Criterion, TosetProgram, criterion_mask, criterion_memo
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels
 from .scp import Classification, classify_trace
@@ -105,14 +106,15 @@ def _stp_searches(g, source, target, mode):
         # single feature class
         return [(cls, safe) for cls in _class_masks(g, pool)]
 
+    # the search restarts at each length and meets the same states again
+    step = criterion_memo(g)
+
     def label(state, safe, stats):
         # every new state has M = safe, so the step's E side is what safe can
         # reach outside M, and the step's criterion is the same for all of them
         p, B, M = state
-        E = g.out_image(safe) & ~M
-        try:
-            crit = compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
-        except InseparableError:
+        crit = step(B, M, g.out_image(safe) & ~M)
+        if crit is None:
             stats["inseparable"] += 1
             return None
         return TosetProgram((crit,) + p.steps)

@@ -307,6 +307,9 @@ def test_gen_deterministic(capsys, tmp_path):
         (("simulate", "--graph", TWOFEATURE, "--source", TWOFEATURE_SOURCE, "--engine", "stp",
           "--program", "[]", "--output", "dot", "--color-dim", "n"), "colour dimension"),
         (("convert", "--graph", FUNNEL, "--color-dim", "nope"), "colour dimension"),
+        (("verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--engine", "stp", "--program", '[{"atom": {"f": ["color"], "op": "=", "v": "red"}}]'),
+         "feature name"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):

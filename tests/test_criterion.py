@@ -213,6 +213,8 @@ def test_serialization_roundtrip():
         {"atom": {"f": "n", "op": "<=", "v": float("nan")}},
         {"atom": {"f": "n", "op": ">", "v": float("inf")}},
         {"atom": {"f": "n", "op": "=", "v": float("-inf")}},
+        {"atom": {"f": ["color"], "op": "=", "v": "red"}},
+        {"atom": {"f": {"color": 1}, "op": "=", "v": "red"}},
     ],
 )
 def test_from_dict_rejects_malformed(doc):

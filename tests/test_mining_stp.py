@@ -1,16 +1,20 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import walkmine.criterion
+import walkmine.literal
 import walkmine.stp
-from helpers import mine_all, name_program, trace_names, vs
+from helpers import feature_graph, mine_all, name_program, trace_names, vs
 from walkmine import (
     AllOf,
     AnyOf,
     Atom,
+    InseparableError,
     MiningConfig,
     classify_stp,
+    compute_criterion,
     mine_exact_scp,
     mine_exact_stp,
     mine_feasible_stp,
@@ -18,7 +22,7 @@ from walkmine import (
     simulate_stp,
 )
 from walkmine.generate import layered_graph, random_instance
-from walkmine.mining import LITERAL
+from walkmine.mining import LITERAL, REPAIRED
 
 ATOM = lambda f, op, v: {"atom": {"f": f, "op": op, "v": v}}
 
@@ -131,28 +135,132 @@ def _planted_layered():
     return g, S, simulate_scp(g, S, planted)[-1]
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    """Count the calls of ``module.name`` into the Counter ``calls``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _record_synthesis(monkeypatch):
+    """Count ``compute_criterion`` calls and record every (B, M, E) input the
+    repaired search hands its memo."""
+    calls, inputs = Counter(), []
+    _count_calls(monkeypatch, walkmine.criterion, "compute_criterion", calls)
+    memo = walkmine.criterion.criterion_memo
+
+    def recording(g):
+        step = memo(g)
+
+        def spy(B, M, E):
+            inputs.append((B, M, E))
+            return step(B, M, E)
+
+        return spy
+
+    monkeypatch.setattr(walkmine.stp, "criterion_memo", recording)
+    return calls, inputs
+
+
 def test_criteria_synthesised_once_per_state(monkeypatch):
-    """Each step criterion is built once per expanded state, not per chain."""
+    """Each step criterion is built once per distinct (B, M, E) input in a run."""
     g, S, T = _planted_layered()
-    calls = {"compute_criterion": 0, "classify_stp": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    compute = counted("compute_criterion", walkmine.criterion.compute_criterion)
-    monkeypatch.setattr(walkmine.criterion, "compute_criterion", compute)
-    monkeypatch.setattr(walkmine.stp, "compute_criterion", compute, raising=False)
-    monkeypatch.setattr(walkmine.stp, "classify_stp", counted("classify_stp", walkmine.stp.classify_stp))
+    calls, inputs = _record_synthesis(monkeypatch)
+    _count_calls(monkeypatch, walkmine.stp, "classify_stp", calls)
     reports = list(mine_exact_stp(g, S, T, MiningConfig(max_len=5)))
     assert [len(r.programs) for r in reports] == [0, 0, 0, 0, 0, 1]
     assert all(r.exhausted for r in reports)
-    states = sum(r.stats["chains_expanded"] for r in reports)
-    assert 0 < calls["compute_criterion"] <= states
+    assert 0 < calls["compute_criterion"] == len(set(inputs))
     assert calls["classify_stp"] == 1
+
+
+def test_criteria_come_back_across_lengths(monkeypatch):
+    """The repaired search restarts at each length and meets the same inputs
+    again; each run still synthesises each distinct input once."""
+    calls, inputs = _record_synthesis(monkeypatch)
+    asked = built = 0
+    for seed in range(1000, 1030):
+        inst = random_instance(seed, extra_dims=2)
+        for miner in (mine_exact_stp, mine_feasible_stp):
+            calls.clear()
+            inputs.clear()
+            list(miner(inst.graph, inst.source, inst.target, MiningConfig(max_len=3)))
+            assert calls["compute_criterion"] == len(set(inputs))
+            asked, built = asked + len(inputs), built + calls["compute_criterion"]
+    assert 0 < built < asked
+
+
+def test_memo_lives_for_one_run(monkeypatch):
+    g, S, T = _planted_layered()
+    counts = []
+    for _ in range(2):
+        calls = Counter()
+        _count_calls(monkeypatch, walkmine.criterion, "compute_criterion", calls)
+        list(mine_exact_stp(g, S, T, MiningConfig(max_len=5)))
+        monkeypatch.undo()
+        counts.append(calls["compute_criterion"])
+    assert counts[0] == counts[1] > 0
+
+
+def test_inseparable_hits_count_every_time(monkeypatch):
+    """A cached inseparable input still counts ``inseparable`` on each hit.
+
+    t and t2 are vector twins, both reached at length 2 from the source.
+    s1 and s3 each cover u alone, so the literal search accepts two chains
+    whose last steps must separate t from t2: one synthesis, two counts.
+    """
+    g = feature_graph(
+        [("color", "categorical")],
+        ["s1", "s2", "s3", "u", "x", "t", "t2"],
+        [("blue",), ("blue",), ("blue",), ("red",), ("yellow",), ("green",), ("green",)],
+        [("s1", "u"), ("s2", "u"), ("s2", "x"), ("s3", "u"), ("u", "t"), ("x", "t2")],
+    )
+    S, T = vs(g, "s1", "s2", "s3"), vs(g, "t")
+    calls = Counter()
+    _count_calls(monkeypatch, walkmine.criterion, "compute_criterion", calls)
+    reports = mine_all(mine_exact_stp, g, S, T, MiningConfig(max_len=2, fidelity=LITERAL))
+    assert reports[2].programs == []
+    assert reports[2].stats["inseparable"] == 2
+    assert calls["compute_criterion"] == 2  # u's step and t's step, once each
+
+
+def _unmemoised(g):
+    """A pass-through ``step`` that synthesises on every call."""
+
+    def step(B, M, E):
+        try:
+            return compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
+        except InseparableError:
+            return None
+
+    return step
+
+
+def _criterion_reports():
+    """Every criterion report on seeds 1000-1029 with extra_dims 1 and 2: both
+    fidelities and modes, uncapped and with ``max_triples=7``, stats included."""
+    docs = []
+    for seed in range(1000, 1030):
+        for extra_dims in (1, 2):
+            inst = random_instance(seed, extra_dims=extra_dims)
+            g, S, T = inst.graph, inst.source, inst.target
+            for fidelity in (REPAIRED, LITERAL):
+                for miner in (mine_exact_stp, mine_feasible_stp):
+                    for max_triples in (None, 7):
+                        cfg = MiningConfig(max_len=3, max_triples=max_triples, fidelity=fidelity)
+                        docs.extend(rep.to_dict(g) for rep in miner(g, S, T, cfg))
+    return docs
+
+
+def test_memo_matches_unmemoised_synthesis(monkeypatch):
+    memoised = _criterion_reports()
+    monkeypatch.setattr(walkmine.stp, "criterion_memo", _unmemoised)
+    monkeypatch.setattr(walkmine.literal, "criterion_memo", _unmemoised)
+    assert _criterion_reports() == memoised
 
 
 def test_program_hash_cached(monkeypatch):

@@ -4,10 +4,15 @@ repaired criterion mining in another, capped runs and stats included. A
 change that moves either says why in CHANGES.md. A third pin holds only the
 answers: the uncapped repaired reports with their work counters dropped, so
 a change to how the searches step or charge may move the first two pins but
-never this one."""
+never this one. The last test pins the total of the whole-corpus digest
+that ``scripts/report_digest.py`` prints."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from walkmine.generate import random_instance
 from walkmine.mining import MiningConfig
@@ -29,6 +34,9 @@ STP_SHA256 = "b2c04930bdb4e2cd77f40929a467901da825b3c28990a9a2472ec737ba2d2625"
 UNCAPPED_RUNS = (RUNS[0], STP_RUNS[0])
 UNCAPPED_REPORTS = 1800
 UNCAPPED_SHA256 = "40d49a2d1800ad61f9c54b5472a7fbfc8d1a086f1ee275e9cacda5f535ccae2e"
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_TOTAL = "reports 31707 sha256 a5e908582a2d1e71a7ff00bd62a5ba27b6412d47d714ecaf7f2b9f5cb92cdeba"
 
 
 def _digest(runs, caps=(None, 7), stats=True):
@@ -64,3 +72,16 @@ def test_repaired_criterion_stream_digest():
 
 def test_uncapped_program_digest():
     assert _digest(UNCAPPED_RUNS, caps=(None,), stats=False) == (UNCAPPED_REPORTS, UNCAPPED_SHA256)
+
+
+def test_whole_corpus_digest():
+    inherited = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == CORPUS_TOTAL
+    groups = dict(line.split(": ", 1) for line in lines[1:])
+    assert groups["seeds 1000-1029 on edge arrays"] == groups["seeds 1000-1029 on int masks"]
