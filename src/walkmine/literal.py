@@ -36,10 +36,9 @@ def _scp_seeds(g, target: int, mode: str) -> list:
     return seeds
 
 
-def scp_searches(g, source, target, mode):
+def scp_searches(g, S: int, T: int, mode):
     """Uncorrected colour search: pools are per-colour slices of the frontier."""
-    S = source.mask
-    carry = deque(_scp_seeds(g, target.mask, mode))
+    carry = deque(_scp_seeds(g, T, mode))
 
     def search(length, positions, budget, found, stats):
         nonlocal carry
@@ -53,7 +52,7 @@ def scp_searches(g, source, target, mode):
                 first_step = g.out_image(B) & g.color_mask(p[0]) if p else B
                 accepted = B & ~S == 0 and S & ~g.in_image(first_step) == 0
                 if accepted and p not in found and budget.charge_program():
-                    found[p] = p
+                    found[p] = None
                 carry.append((p, B, M))
             else:
                 pool = positions[length - n - 1] & g.in_image(B)
@@ -90,10 +89,9 @@ def _strict_filter(g, pool: int, B: int, M: int) -> int:
     return safe
 
 
-def stp_searches(g, source, target, mode):
+def stp_searches(g, S: int, T: int, mode):
     """Uncorrected criterion search: in-neighbourhood pools, synthesis afterwards."""
-    S = source.mask
-    carry = deque(((B, M, 0),) for _, B, M in start_states(target.mask, mode, ()))
+    carry = deque(((B, M, 0),) for _, B, M in start_states(T, mode, ()))
     step = criterion_memo(g)
 
     def search(length, positions, budget, found, stats):
@@ -116,18 +114,15 @@ def stp_searches(g, source, target, mode):
                     stats["pseudo_bases"] += 1
                     queue.append(((basis, pool, n),) + chain)
             yield
-        keys = set()
         for chain in accepted:
             crits = (step(B, M, positions[length - dist] & ~M) for B, M, dist in chain[1:])
             program = TosetProgram(tuple(takewhile(lambda crit: crit is not None, crits)))
             if len(program) < len(chain) - 1:
                 stats["inseparable"] += 1
                 continue
-            key = program.key(g)
-            if key in keys:
+            if program in found:
                 stats["dedup_hits"] += 1
             elif budget.charge_program():
-                keys.add(key)
-                found[program] = key
+                found[program] = None
 
     return [search]

@@ -1,5 +1,5 @@
 """Shared mining-run plumbing: configuration, budgets, the per-length driver
-that races a miner's searches, and the repaired backward search and its hooks."""
+that races a miner's searches and orders their programs, and the backward search."""
 
 from __future__ import annotations
 
@@ -96,6 +96,11 @@ def render_program(g: DirectedGraph, program) -> list:
     return program.to_dict(g)
 
 
+def program_key(g: DirectedGraph, program):
+    """Sort key of a program: a colour tuple is its own, a criterion program's its rendered steps."""
+    return program if isinstance(program, tuple) else program.key(g)
+
+
 @dataclass
 class MiningReport:
     """Result of mining one program length."""
@@ -138,22 +143,22 @@ def run_levels(
 ) -> Iterator[MiningReport]:
     """One report per length 0..max_len; a race of searches mines the viable ones.
 
-    ``make_searches(g, source, target, mode)`` returns the searches. Each is
-    a generator ``search(length, positions, budget, found, stats)``, with
-    ``positions[j]`` the vertices exactly j steps from the source; it yields
-    once per charged step and records each program p it lists as
-    ``found[p] = sort key``. The searches take one step each in turn, and
-    the first to finish answers the length. A length is viable when the
-    vertices that many steps from the source contain the target (exact mode
-    and the literal fidelity) or meet it (repaired feasible mode). The empty
-    program counts toward ``max_programs``. A report lists its programs by
-    key; it is exhausted unless the budget tripped, and the run stops after
-    the length that trips it. ``extra_stats`` names the counters the
-    searches keep beyond the engine's own.
+    ``make_searches(g, S, T, mode)``, on source and target masks, returns the
+    searches. Each is a generator ``search(length, positions, budget, found,
+    stats)``, with ``positions[j]`` the vertices exactly j steps from the
+    source; it yields once per charged step and adds each program it lists
+    to ``found``, a dict kept as an ordered set. The searches take one step
+    each in turn, and the first to finish answers the length. A length is
+    viable when the vertices that many steps from the source contain the
+    target (exact mode and the literal fidelity) or meet it (repaired
+    feasible mode). The empty program counts toward ``max_programs``. A
+    report lists its programs by :func:`program_key`; it is exhausted unless
+    the budget tripped, and the run stops after the length that trips it.
+    ``extra_stats`` names the counters the searches keep beyond the engine's own.
     """
     _validate_instance(g, source, target)
     budget = Budget(config)
-    searches = make_searches(g, source, target, mode)
+    searches = make_searches(g, source.mask, target.mask, mode)
     contain = mode == EXACT or config.fidelity == LITERAL
     positions = [source.mask]
     for length in range(config.max_len + 1):
@@ -161,7 +166,7 @@ def run_levels(
         if length == 0:
             ok = source == target if mode == EXACT else source.issubset(target)
             if ok:
-                found[empty_program] = ()
+                found[empty_program] = None
                 budget.charge_program()
         else:
             positions.append(g.out_image(positions[-1]))
@@ -170,7 +175,7 @@ def run_levels(
             if viable:
                 for _ in zip(*(search(length, positions, budget, found, stats) for search in searches)):
                     pass  # zip stops as soon as one search finishes
-        programs = sorted(found, key=found.__getitem__)
+        programs = sorted(found, key=lambda p: program_key(g, p))
         yield MiningReport(engine, mode, length, programs, not budget.tripped, stats)
         if budget.tripped:
             return
@@ -183,7 +188,7 @@ def start_states(target: int, mode: str, empty) -> list:
     return [(empty, B, target) for B in starts]
 
 
-def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
+def backward_search(g, engine, empty, target: int, mode, safe, split, label):
     """A repaired search, breadth-first over states (p, B, M), one state per step.
 
     A state says that any start set between B and M runs the suffix program
@@ -191,24 +196,31 @@ def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
     takes every step back itself. The engine's hooks: ``safe(state, base)``,
     the part of ``base`` whose step stays in M, or None when no step leads
     into B; ``split(pool, safe)``, the (pool, keep) class pairs of the safe
-    vertices that have an out-neighbour in B; ``label(state, safe, stats)``,
-    the new suffix or None, asked only when some pool survives; ``accept(p)``,
-    a program's sort key or None. The last step back gives the one state
-    (newp, S, S), S the source, when all of S is safe and S's image covers B.
-    Any other keeps only the pools whose image covers B, and each base drawn
-    from one gives a state (newp, base, keep) unless seen at this length:
-    B's minimal covers in the pool, or the pool itself one step before the
-    last, where the next step reads a base only through its class.
+    vertices that have an out-neighbour in B; ``label(state, safe)``, the new
+    suffix, asked only when some pool survives. The last step back gives the
+    one state (newp, S, S), S the source, when all of S is safe and S's image
+    covers B. Any other keeps only the pools whose image covers B, and each
+    base drawn from one gives a state (newp, base, keep) unless seen at this
+    length: B's minimal covers in the pool, or the pool itself one step
+    before the last, where the next step reads a base only through its class.
+
+    So programs are accepted by construction, and none is simulated. A
+    start state holds: ε ends on T (exact) or on a nonempty part of T
+    (feasible). A step back keeps it, as a step grows with its start set:
+    the new base's step keeps all of B, and the new M is safe, so its step
+    stays in M. That holds for a cover, for the pool one step before the
+    last and for (newp, S, S); so a full-length (p, S, S) runs S onto T, or
+    into it, as ``mode`` asks, and each set on the way holds a nonempty B.
 
     Returns ``search(length, positions, budget, found, stats)``, a generator
     that charges the budget and yields once per popped state and once per
     branch of a cover listing (:func:`walkmine.setcover.cover_masks`), so a
-    race switches searches inside a long listing. It stops when the
-    queue empties or a charge is refused, and it records each accepted
-    program p, while the budget admits it, as ``found[p] = key``.
+    race switches searches inside a long listing. It stops when the queue
+    empties or a charge is refused, and it adds each full-length suffix to
+    ``found`` while the budget admits it.
     """
     expanded = _STATS[engine][0]
-    seeds = start_states(target.mask, mode, empty)
+    seeds = start_states(target, mode, empty)
 
     def search(length, positions, budget, found, stats):
         queue = deque(seeds)
@@ -219,9 +231,8 @@ def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
             p, B, _ = state
             left = length - len(p)  # steps back still to take
             if left == 0:
-                key = None if p in found else accept(p)
-                if key is not None and budget.charge_program():
-                    found[p] = key
+                if p not in found and budget.charge_program():
+                    found[p] = None
             else:
                 base = positions[left - 1]
                 allowed = safe(state, base)
@@ -233,8 +244,8 @@ def backward_search(g, engine, empty, target, mode, safe, split, label, accept):
                 else:
                     pairs = split(allowed & g.in_image(B), allowed)
                     pairs = [(pool, keep) for pool, keep in pairs if B & ~g.out_image(pool) == 0]
-                newp = label(state, allowed, stats) if pairs else None
-                for pool, keep in pairs if newp is not None else ():
+                newp = label(state, allowed) if pairs else None
+                for pool, keep in pairs:
                     bases = (yield from cover_masks(g, B, pool, budget)) if left > 2 else [pool]
                     if bases is None:
                         return

@@ -170,7 +170,7 @@ def _mine_scp(g, source, target, config, mode) -> Iterator[MiningReport]:
     return run_levels(g, source, target, config, "scp", mode, (), _scp_searches, _FORWARD_STATS)
 
 
-def _scp_searches(g, source, target, mode):
+def _scp_searches(g, S: int, T: int, mode):
     """The repaired colour searches, named by :data:`SEARCHES` in the order
     :func:`walkmine.mining.run_levels` races them."""
 
@@ -183,16 +183,13 @@ def _scp_searches(g, source, target, mode):
     def split(pool, safe):
         return [(pool & g.color_mask(d), safe & g.color_mask(d)) for d in g.colors_in(pool)]
 
-    def label(state, safe, stats):
+    def label(state, safe):
         return (_mono_color(g, state[1]),) + state[0]
 
-    def accept(p):
-        return p if classify_scp(g, source, target, p).kind in (EXACT, mode) else None
-
-    K = [target.mask]  # K[r]: the vertices with a walk of r steps into T
+    K = [T]  # K[r]: the vertices with a walk of r steps into T
     searches = {
-        "forward": lambda *args: _forward_search(g, source.mask, K, mode, *args),
-        "backward": backward_search(g, "scp", (), target, mode, safe, split, label, accept),
+        "forward": lambda *args: _forward_search(g, S, K, mode, *args),
+        "backward": backward_search(g, "scp", (), T, mode, safe, split, label),
     }
     return [searches[name] for name in SEARCHES]
 
@@ -251,4 +248,4 @@ def _forward_search(g, S: int, K: list, mode, length, positions, budget, found, 
         elif (p := (*prefix, move[0])) not in found:
             if not (budget.charge_triple() and budget.charge_program()):
                 return
-            found[p] = p
+            found[p] = None

@@ -95,7 +95,7 @@ def _class_masks(g, pool_mask: int) -> list[int]:
     return list(classes.values())
 
 
-def _stp_searches(g, source, target, mode):
+def _stp_searches(g, S: int, T: int, mode):
     """The repaired criterion search: one backward search over states (p, B, M)."""
 
     def safe(state, base):
@@ -109,17 +109,11 @@ def _stp_searches(g, source, target, mode):
     # the search restarts at each length and meets the same states again
     step = criterion_memo(g)
 
-    def label(state, safe, stats):
+    def label(state, safe):
         # every new state has M = safe, so the step's E side is what safe can
-        # reach outside M, and the step's criterion is the same for all of them
+        # reach outside M, and the step's criterion is the same for all of
+        # them; safe keeps every vector of B out of E, so the step separates
         p, B, M = state
-        crit = step(B, M, g.out_image(safe) & ~M)
-        if crit is None:
-            stats["inseparable"] += 1
-            return None
-        return TosetProgram((crit,) + p.steps)
+        return TosetProgram((step(B, M, g.out_image(safe) & ~M),) + p.steps)
 
-    def accept(p):
-        return p.key(g) if classify_stp(g, source, target, p).kind in (EXACT, mode) else None
-
-    return [backward_search(g, "stp", TosetProgram(()), target, mode, safe, split, label, accept)]
+    return [backward_search(g, "stp", TosetProgram(()), T, mode, safe, split, label)]

@@ -14,15 +14,15 @@ def _instance():
 
 
 def fake(name, listed, log):
-    """A search that takes one charged step per (program, key) of ``listed``,
+    """A search that takes one charged step per program of ``listed``,
     listing that program, and logs each step and its own end."""
 
     def search(length, positions, budget, found, stats):
-        for program, key in listed:
+        for program in listed:
             if not budget.charge_triple():
                 return
             log.append((name, length, program))
-            found[program] = key
+            found[program] = None
             stats["laps"] += 1
             yield
         log.append((name, length, "done"))
@@ -38,31 +38,32 @@ def _run(searches, g, S, T, **caps):
 def test_first_search_to_finish_ends_the_length():
     g, S, T = _instance()
     log = []
-    quick = fake("quick", [("q1", 1), ("q2", 2)], log)
-    slow = fake("slow", [("s1", 1), ("s2", 2), ("s3", 3), ("s4", 4)], log)
+    quick = fake("quick", [(4,), (2,)], log)
+    slow = fake("slow", [(5,), (3,), (1,), (0,)], log)
     reports = _run([slow, quick], g, S, T, max_len=1)
     # one step each in turn, the slow search first; the quick one then ends
     # the race, and the slow one is stepped no further
-    assert log == [("slow", 1, "s1"), ("quick", 1, "q1"), ("slow", 1, "s2"), ("quick", 1, "q2"),
-                   ("slow", 1, "s3"), ("quick", 1, "done")]
+    assert log == [("slow", 1, (5,)), ("quick", 1, (4,)), ("slow", 1, (3,)), ("quick", 1, (2,)),
+                   ("slow", 1, (1,)), ("quick", 1, "done")]
     assert reports[1].exhausted and reports[1].stats["laps"] == 5
-    assert reports[1].programs == ["s1", "q1", "s2", "q2", "s3"]
+    # the driver lists them by key, not in the order they were found
+    assert reports[1].programs == [(1,), (2,), (3,), (4,), (5,)]
 
 
 def test_programs_come_out_by_their_keys():
     g, S, T = _instance()
-    reports = _run([fake("one", [("b", 2), ("a", 3), ("c", 1)], [])], g, S, T, max_len=1)
-    assert reports[1].programs == ["c", "b", "a"]
+    reports = _run([fake("one", [(1, 0), (1,), (0, 2), (0, 1, 1)], [])], g, S, T, max_len=1)
+    assert reports[1].programs == [(0, 1, 1), (0, 2), (1,), (1, 0)]
 
 
 def test_triple_cap_in_mid_race_ends_the_stream():
     g, S, T = _instance()
     log = []
-    searches = [fake("x", [("x1", 1), ("x2", 2), ("x3", 3)], log), fake("y", [("y1", 1), ("y2", 2)], log)]
+    searches = [fake("x", [(3,), (1,), (0,)], log), fake("y", [(2,), (4,)], log)]
     reports = _run(searches, g, S, T, max_len=3, max_triples=3)
     assert [r.length for r in reports] == [0, 1]
     assert not reports[1].exhausted
-    assert reports[1].programs == ["x1", "y1", "x2"]
+    assert reports[1].programs == [(1,), (2,), (3,)]
     assert len(log) == 3
 
 
@@ -70,7 +71,7 @@ def test_non_viable_length_reports_zero_stats():
     g, S, _ = _instance()
     log = []
     # T = S: length 0 lists ε, and no walk of length 1 or 2 returns to s
-    reports = _run([fake("x", [("x1", 1)], log)], g, S, S, max_len=2)
+    reports = _run([fake("x", [(1,)], log)], g, S, S, max_len=2)
     assert [r.programs for r in reports] == [[()], [], []]
     assert all(r.exhausted and r.stats == ZERO for r in reports)
     assert log == []
@@ -89,13 +90,13 @@ def _mask(*names):
     return vs(_LADDER, *names).mask
 
 
-def _step_back(source, target, length, safe=lambda state, base: base, split=None, label=None):
+def _step_back(source, target, length, safe=lambda state, base: base, split=None):
     """Run the exact backward search at one length with logging fake hooks.
 
     The hooks default to: every base vertex safe, the pool one class kept
     whole, and each step labelled "x". Returns the hook calls, each as its
     name and the B of the state it saw (the pool, for ``split``), the
-    accepted programs and the stats.
+    listed programs and the stats.
     """
     calls = []
 
@@ -107,20 +108,16 @@ def _step_back(source, target, length, safe=lambda state, base: base, split=None
         calls.append(("split", pool))
         return split(pool, allowed) if split else [(pool, allowed)]
 
-    def log_label(state, allowed, stats):
+    def log_label(state, allowed):
         calls.append(("label", state[1]))
-        return label(state) if label else ("x",) + state[0]
-
-    def accept(p):
-        calls.append(("accept", p))
-        return p
+        return ("x",) + state[0]
 
     g = _LADDER
     positions = [source]
     while len(positions) <= length:
         positions.append(g.out_image(positions[-1]))
     found, stats = {}, {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
-    search = backward_search(g, "scp", (), vs(g, *target), "exact", log_safe, log_split, log_label, accept)
+    search = backward_search(g, "scp", (), vs(g, *target).mask, "exact", log_safe, log_split, log_label)
     for _ in search(length, positions, Budget(MiningConfig(max_len=length)), found, stats):
         pass
     return calls, list(found), stats
@@ -130,7 +127,7 @@ def test_last_step_base_is_the_whole_source():
     S = _mask("a", "b")
     # a and b each cover c alone, yet S is the one base, drawn from no split
     calls, found, stats = _step_back(S, ["c"], 1)
-    assert calls == [("safe", _mask("c")), ("label", _mask("c")), ("accept", ("x",))]
+    assert calls == [("safe", _mask("c")), ("label", _mask("c"))]
     assert found == [("x",)] and stats["pseudo_bases"] == 1
     # part of S unsafe, no safe set at all, or S's image missing part of B: no state
     for safe, target in ((lambda state, base: base & ~_mask("b"), ["c"]),
@@ -157,10 +154,6 @@ def test_label_is_asked_only_for_surviving_pools():
     calls, _, stats = _step_back(_mask("s"), ["c", "d"], 2, split=lambda pool, allowed: [(_mask("a"), allowed)])
     assert [name for name, _ in calls] == ["safe", "split"]
     assert stats["pseudo_bases"] == 0
-    # a None label drops the step back
-    calls, found, stats = _step_back(_mask("s"), ["c"], 2, label=lambda state: None)
-    assert [name for name, _ in calls] == ["safe", "split", "label"]
-    assert found == [] and stats["pseudo_bases"] == 0
 
 
 def test_bases_are_covers_until_one_step_before_the_last():
@@ -187,9 +180,8 @@ def _cover_listing(max_triples=None):
     positions = [vs(g, "s").mask]
     while len(positions) <= 3:
         positions.append(g.out_image(positions[-1]))
-    search = backward_search(g, "scp", (), vs(g, "x", "y"), "exact", lambda state, base: base,
-                             lambda pool, allowed: [(pool, allowed)],
-                             lambda state, allowed, stats: ("x",) + state[0], lambda p: p)
+    search = backward_search(g, "scp", (), vs(g, "x", "y").mask, "exact", lambda state, base: base,
+                             lambda pool, allowed: [(pool, allowed)], lambda state, allowed: ("x",) + state[0])
     budget = Budget(MiningConfig(max_len=3, max_triples=max_triples))
     stats = {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
     yields = sum(1 for _ in search(3, positions, budget, {}, stats))

@@ -175,7 +175,7 @@ def test_criteria_synthesised_once_per_state(monkeypatch):
     assert [len(r.programs) for r in reports] == [0, 0, 0, 0, 0, 1]
     assert all(r.exhausted for r in reports)
     assert 0 < calls["compute_criterion"] == len(set(inputs))
-    assert calls["classify_stp"] == 1
+    assert calls["classify_stp"] == 0  # programs are accepted by construction
 
 
 def test_criteria_come_back_across_lengths(monkeypatch):

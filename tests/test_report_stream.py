@@ -4,8 +4,10 @@ repaired criterion mining in another, capped runs and stats included. A
 change that moves either says why in CHANGES.md. A third pin holds only the
 answers: the uncapped repaired reports with their work counters dropped, so
 a change to how the searches step or charge may move the first two pins but
-never this one. The last test pins the total of the whole-corpus digest
-that ``scripts/report_digest.py`` prints."""
+never this one; it also holds with every simulation made to fail, since
+the searches accept their programs by construction. The last test pins the
+total of the whole-corpus digest that ``scripts/report_digest.py`` prints,
+under two hash seeds."""
 
 import hashlib
 import json
@@ -14,6 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from helpers import scp_miner
+from walkmine import scp, stp
 from walkmine.generate import random_instance
 from walkmine.mining import MiningConfig
 from walkmine.scp import mine_exact_scp, mine_feasible_scp
@@ -74,10 +80,24 @@ def test_uncapped_program_digest():
     assert _digest(UNCAPPED_RUNS, caps=(None,), stats=False) == (UNCAPPED_REPORTS, UNCAPPED_SHA256)
 
 
-def test_whole_corpus_digest():
+def test_mining_never_simulates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mining path ran a program")
+
+    for module, name in ((scp, "classify_scp"), (scp, "simulate_scp"), (scp, "classify_trace"),
+                         (stp, "classify_stp"), (stp, "simulate_stp"), (stp, "classify_trace")):
+        monkeypatch.setattr(module, name, refuse)
+    backward = ("repaired", 4, (scp_miner("exact", ("backward",)), scp_miner("feasible", ("backward",))))
+    for runs in (UNCAPPED_RUNS, (backward, STP_RUNS[0])):
+        assert _digest(runs, caps=(None,), stats=False) == (UNCAPPED_REPORTS, UNCAPPED_SHA256)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_whole_corpus_digest(hash_seed):
     inherited = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src,
+               PYTHONHASHSEED=hash_seed)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
