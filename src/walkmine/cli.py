@@ -28,6 +28,10 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {e.strerror or e}") from None
 
 
+def _cannot_write(e: OSError, path) -> CliError:
+    return CliError(f"cannot write {e.filename or path}: {e.strerror or e}")
+
+
 def _load_graph(args):
     try:
         g = load_graph(_read_text(args.graph), color_dim=args.color_dim or "color")
@@ -224,7 +228,10 @@ def _cmd_convert(args) -> int:
         g = convert_multigraph(g)
     text = serialize_graph(g)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise _cannot_write(e, args.out) from None
     else:
         sys.stdout.write(text)
     return 0
@@ -239,7 +246,11 @@ def _cmd_gen(args) -> int:
         singleton_target=args.singleton_target,
     )
     name = args.name or f"instance_{args.seed}"
-    for path in write_instance(instance, args.out_dir, name):
+    try:
+        paths = write_instance(instance, args.out_dir, name)
+    except OSError as e:
+        raise _cannot_write(e, args.out_dir) from None
+    for path in paths:
         print(path)
     return 0
 

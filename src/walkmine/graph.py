@@ -162,6 +162,8 @@ class DirectedGraph:
         self._color_ids: dict[str, int] = {}
         self._vcolor: Optional[tuple[int, ...]] = None
         self._color_masks: Optional[list[int]] = None
+        # vertex -> mask of its feature-vector class, filled by twins
+        self._twin_masks: Optional[list[int]] = None
         # criterion atom -> mask of the vertices satisfying it, filled by
         # criterion.criterion_mask
         self._atom_masks: dict = {}
@@ -183,6 +185,26 @@ class DirectedGraph:
 
     def vectors(self, mask: int) -> list[tuple]:
         return [self.rows[v] for v in iter_bits(mask)]
+
+    def twins(self, mask: int) -> int:
+        """The vertices sharing a feature vector with some vertex of ``mask``:
+        one hop per vector class, over one mask per class built on first use."""
+        if self._twin_masks is None:
+            classes: dict = {}
+            for v, row in enumerate(self.rows):
+                classes[row] = classes.get(row, 0) | 1 << v
+            self._twin_masks = [classes[row] for row in self.rows]
+        out = 0
+        while mask:
+            out |= self._twin_masks[(mask & -mask).bit_length() - 1]
+            mask &= ~out
+        return out
+
+    def check_universe(self, *sets: VertexSet):
+        """Raise ValueError unless each of ``sets`` is a set of this graph's vertices."""
+        for vs in sets:  # a loop, not any(): simulate and classify pay this per call
+            if vs.size != self.n:
+                raise ValueError("vertex sets must live in the graph's universe")
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._edge_list)
@@ -406,6 +428,7 @@ def iterated_in(g: DirectedGraph, vs: VertexSet, k: int) -> VertexSet:
 
 def select_by_color(g: DirectedGraph, vs: VertexSet, color: str) -> VertexSet:
     """Subset of ``vs`` whose colour is ``color`` (empty for unknown colours)."""
+    g.check_universe(vs)
     return VertexSet(g.n, vs.mask & g.color_mask(g.color_id(color)))
 
 

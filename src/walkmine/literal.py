@@ -8,7 +8,8 @@ and per branch of a cover listing, and lists its programs into the driver's
 which the criterion search still synthesises the chains it accepted. Unlike
 the repaired searches, a literal search does not restart at each length: the
 states whose suffix reaches one viable length are carried into the next
-viable length's queue and extended from there.
+viable length's queue and extended from there. Nor do they share the
+repaired safe-set rule: each keeps its own per-colour or per-vertex filter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import takewhile
 
-from .bitset import iter_bits
+from .bitset import iter_bits, mask_of
 from .criterion import TosetProgram, criterion_memo
 from .mining import EXACT, start_states
 from .setcover import cover_masks
@@ -78,15 +79,10 @@ def scp_searches(g, S: int, T: int, mode):
 
 
 def _strict_filter(g, pool: int, B: int, M: int) -> int:
-    """Uncorrected per-vertex filter: only a vertex's own B-children count."""
+    """Uncorrected per-vertex filter: only the twins of a vertex's own B-children count."""
     e_global = g.out_image(pool) & ~M
-    safe = 0
-    for v in iter_bits(pool):
-        out = g.out_mask(v)
-        b_vecs = {g.rows[u] for u in iter_bits(out & B)}
-        if all(g.rows[u] not in b_vecs for u in iter_bits(out & e_global)):
-            safe |= 1 << v
-    return safe
+    outs = ((v, g.out_mask(v)) for v in iter_bits(pool))
+    return mask_of(v for v, out in outs if g.twins(out & B) & out & e_global == 0)
 
 
 def stp_searches(g, S: int, T: int, mode):

@@ -126,8 +126,7 @@ class MiningReport:
 def _validate_instance(g: DirectedGraph, source: VertexSet, target: VertexSet):
     if not source or not target:
         raise ValueError("source and target sets must be nonempty")
-    if source.size != g.n or target.size != g.n:
-        raise ValueError("vertex sets must live in the graph's universe")
+    g.check_universe(source, target)
 
 
 def run_levels(
@@ -188,29 +187,33 @@ def start_states(target: int, mode: str, empty) -> list:
     return [(empty, B, target) for B in starts]
 
 
-def backward_search(g, engine, empty, target: int, mode, safe, split, label):
+def backward_search(g, engine, empty, target: int, mode, alike, split, label):
     """A repaired search, breadth-first over states (p, B, M), one state per step.
 
     A state says that any start set between B and M runs the suffix program
     ``p`` into the target; the search starts from :func:`start_states` and
-    takes every step back itself. The engine's hooks: ``safe(state, base)``,
-    the part of ``base`` whose step stays in M, or None when no step leads
-    into B; ``split(pool, safe)``, the (pool, keep) class pairs of the safe
-    vertices that have an out-neighbour in B; ``label(state, safe)``, the new
-    suffix, asked only when some pool survives. The last step back gives the
-    one state (newp, S, S), S the source, when all of S is safe and S's image
-    covers B. Any other keeps only the pools whose image covers B, and each
-    base drawn from one gives a state (newp, base, keep) unless seen at this
-    length: B's minimal covers in the pool, or the pool itself one step
-    before the last, where the next step reads a base only through its class.
+    takes every step back itself. The engine's hooks: ``alike(B)``, the
+    vertices a step keeping B also keeps, or None when no step keeps all of
+    B, so the safe vertices are the base's with no out-neighbour in alike(B)
+    outside M; ``split(pool, safe)``, the (pool, keep) class pairs of the
+    safe vertices that have an out-neighbour in B; ``label(state, safe)``,
+    the new suffix, asked only when some pool survives. The last step back
+    gives the one state (newp, S, S), S the source, when all of S is safe
+    and S's image covers B. Any other keeps only the pools whose image
+    covers B, and each base drawn from one gives a state (newp, base, keep)
+    unless seen at this length: B's minimal covers in the pool, or the pool
+    itself one step before the last, where the next step reads a base only
+    through its class.
 
     So programs are accepted by construction, and none is simulated. A
     start state holds: ε ends on T (exact) or on a nonempty part of T
     (feasible). A step back keeps it, as a step grows with its start set:
-    the new base's step keeps all of B, and the new M is safe, so its step
-    stays in M. That holds for a cover, for the pool one step before the
-    last and for (newp, S, S); so a full-length (p, S, S) runs S onto T, or
-    into it, as ``mode`` asks, and each set on the way holds a nonempty B.
+    the new base's step keeps all of B, and the new M is safe: its image
+    meets alike(B) only inside M, and the labelled step keeps no other
+    vertex of it outside M, so the step stays in M. That holds for a cover,
+    for the pool one step before the last and for (newp, S, S); so a
+    full-length (p, S, S) runs S onto T, or into it, as ``mode`` asks, and
+    each set on the way holds a nonempty B.
 
     Returns ``search(length, positions, budget, found, stats)``, a generator
     that charges the budget and yields once per popped state and once per
@@ -228,14 +231,14 @@ def backward_search(g, engine, empty, target: int, mode, safe, split, label):
         while queue and budget.charge_triple():
             state = queue.popleft()
             stats[expanded] += 1
-            p, B, _ = state
+            p, B, M = state
             left = length - len(p)  # steps back still to take
             if left == 0:
                 if p not in found and budget.charge_program():
                     found[p] = None
             else:
-                base = positions[left - 1]
-                allowed = safe(state, base)
+                base, like = positions[left - 1], alike(B)
+                allowed = None if like is None else base & ~g.in_image(like & ~M)
                 if allowed is None:
                     pairs = []
                 elif left == 1:

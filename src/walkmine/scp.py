@@ -6,11 +6,11 @@ backward search works from the target, maintaining triples (suffix, B, M)
 whose meaning is: any start set sandwiched between B and M runs the suffix
 into the target. The default miner keeps that invariant exactly, and gives
 :func:`walkmine.mining.run_levels` two searches to race: the shared backward
-search, whose hooks name B's one colour and split pools into colour classes,
-and a forward subset-construction search over endpoint sets; the first to
-finish answers each length. The ``literal`` fidelity, in
-:mod:`walkmine.literal`, reproduces an uncorrected variant of the backward
-search kept for comparison.
+search, whose hooks name B's one colour class as the vertices a step keeping
+B also keeps and split pools into colour classes, and a forward
+subset-construction search over endpoint sets; the first to finish answers
+each length. The ``literal`` fidelity, in :mod:`walkmine.literal`,
+reproduces an uncorrected variant of the backward search kept for comparison.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class Classification:
 
 def simulate_scp(g: DirectedGraph, source: VertexSet, program: tuple[int, ...]) -> list[VertexSet]:
     """Endpoint trace E0..En of a colour program run from ``source``."""
+    g.check_universe(source)
     trace = [source]
     cur = source.mask
     for c in program:
@@ -75,6 +76,7 @@ def classify_trace(g: DirectedGraph, trace: list[VertexSet], target: VertexSet) 
     when some vertex of E_i has no out-neighbour the step keeps; the step
     keeps part of E_i's out-image, so the kept vertices are E_{i+1}.
     """
+    g.check_universe(target)
     masks = [vs.mask for vs in trace]
     partial, stranded = [], []
     for i in range(len(masks) - 1):
@@ -174,11 +176,9 @@ def _scp_searches(g, S: int, T: int, mode):
     """The repaired colour searches, named by :data:`SEARCHES` in the order
     :func:`walkmine.mining.run_levels` races them."""
 
-    def safe(state, base):
-        _, B, M = state
+    def alike(B):
         c = _mono_color(g, B)
-        # vertices whose c-image leaves M are unsafe
-        return None if c is None else base & ~g.in_image(g.color_mask(c) & ~M)
+        return None if c is None else g.color_mask(c)
 
     def split(pool, safe):
         return [(pool & g.color_mask(d), safe & g.color_mask(d)) for d in g.colors_in(pool)]
@@ -189,7 +189,7 @@ def _scp_searches(g, S: int, T: int, mode):
     K = [T]  # K[r]: the vertices with a walk of r steps into T
     searches = {
         "forward": lambda *args: _forward_search(g, S, K, mode, *args),
-        "backward": backward_search(g, "scp", (), T, mode, safe, split, label),
+        "backward": backward_search(g, "scp", (), T, mode, alike, split, label),
     }
     return [searches[name] for name in SEARCHES]
 

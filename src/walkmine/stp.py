@@ -3,13 +3,13 @@
 A toset program is a sequence of criteria; each step keeps the out-neighbours
 whose feature vectors satisfy the step's criterion. The default miner gives
 :func:`walkmine.mining.run_levels` one search to race alone: the shared
-backward search over states (p, B, M), p a criterion suffix. Its hooks keep
-the filtered frontier as the safe set and new M, split pools into
-feature-vector classes, and label a step with the criterion that separates B
-from the vertices a run could leak to, synthesised once per distinct input
-in a run. The ``literal`` fidelity, in :mod:`walkmine.literal`, keeps the
-uncorrected in-neighbourhood pools and synthesises criteria per accepted
-chain.
+backward search over states (p, B, M), p a criterion suffix. Its hooks name
+B's feature-vector twins (:meth:`DirectedGraph.twins`) as the vertices a step
+keeping B also keeps, split pools into feature-vector classes, and label a
+step with the criterion that separates B from the vertices a run could leak
+to, synthesised once per distinct input in a run. The ``literal`` fidelity,
+in :mod:`walkmine.literal`, keeps the uncorrected in-neighbourhood pools and
+synthesises criteria per accepted chain.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import literal
-from .bitset import VertexSet, iter_bits, mask_of
+from .bitset import VertexSet
 from .criterion import Criterion, TosetProgram, criterion_mask, criterion_memo
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels
@@ -28,11 +28,13 @@ from .setcover import minimal_covers
 
 def select_by_criterion(g: DirectedGraph, A: VertexSet, crit: Criterion) -> VertexSet:
     """Subset of ``A`` whose feature vectors satisfy the criterion."""
+    g.check_universe(A)
     return VertexSet(g.n, A.mask & criterion_mask(g, crit))
 
 
 def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet]:
     """Endpoint trace E0..En of a criterion program run from ``source``."""
+    g.check_universe(source)
     trace = [source]
     cur = source.mask
     for crit in getattr(program, "steps", program):
@@ -47,13 +49,13 @@ def classify_stp(g: DirectedGraph, source: VertexSet, target: VertexSet, program
 
 def consistent(g: DirectedGraph, A: VertexSet, b_side: VertexSet, e_side: VertexSet) -> bool:
     """No feature-vector collision between the two out-neighbour groups of A."""
+    g.check_universe(A, b_side, e_side)
     if b_side.mask & e_side.mask:
         raise ValueError("the two sides must be disjoint")
     out = g.out_image(A.mask)
     if (b_side.mask | e_side.mask) & ~out:
         raise ValueError("both sides must be out-neighbours of A")
-    b_vecs = {g.rows[v] for v in b_side}
-    return all(g.rows[v] not in b_vecs for v in e_side)
+    return g.twins(b_side.mask) & e_side.mask == 0
 
 
 # -- mining -------------------------------------------------------------------
@@ -73,38 +75,16 @@ def _mine_stp(g, source, target, config, mode) -> Iterator[MiningReport]:
     return run_levels(g, source, target, config, "stp", mode, TosetProgram(()), make_searches)
 
 
-def _filtered_frontier(g, frontier: int, B: int, M: int) -> int:
-    """Drop frontier vertices that could leak a B-looking vector outside M.
-
-    A vertex stays only if none of its out-neighbours outside M carries a
-    feature vector that also occurs in B; this is what keeps the later
-    criterion synthesis solvable.
-    """
-    b_vecs = {g.rows[u] for u in iter_bits(B)}
-    leaks = g.out_image(frontier) & ~M
-    lookalikes = mask_of(u for u in iter_bits(leaks) if g.rows[u] in b_vecs)
-    return frontier & ~g.in_image(lookalikes)
-
-
-def _class_masks(g, pool_mask: int) -> list[int]:
-    """Split a pool into feature-vector classes, ordered by first member."""
-    classes: dict = {}
-    for v in iter_bits(pool_mask):
-        row = g.rows[v]
-        classes[row] = classes.get(row, 0) | (1 << v)
-    return list(classes.values())
-
-
 def _stp_searches(g, S: int, T: int, mode):
     """The repaired criterion search: one backward search over states (p, B, M)."""
 
-    def safe(state, base):
-        return _filtered_frontier(g, base, state[1], state[2])
-
     def split(pool, safe):
         # pools stay vector-homogeneous, so each synthesized step selects a
-        # single feature class
-        return [(cls, safe) for cls in _class_masks(g, pool)]
+        # single feature class; classes come out by first member
+        while pool:
+            cls = pool & g.twins(pool & -pool)
+            yield cls, safe
+            pool &= ~cls
 
     # the search restarts at each length and meets the same states again
     step = criterion_memo(g)
@@ -112,8 +92,8 @@ def _stp_searches(g, S: int, T: int, mode):
     def label(state, safe):
         # every new state has M = safe, so the step's E side is what safe can
         # reach outside M, and the step's criterion is the same for all of
-        # them; safe keeps every vector of B out of E, so the step separates
+        # them; no safe vertex reaches a twin of B outside M, so it separates
         p, B, M = state
         return TosetProgram((step(B, M, g.out_image(safe) & ~M),) + p.steps)
 
-    return [backward_search(g, "stp", TosetProgram(()), T, mode, safe, split, label)]
+    return [backward_search(g, "stp", TosetProgram(()), T, mode, g.twins, split, label)]

@@ -1,0 +1,39 @@
+"""The summary of ``scripts/ab_pairs.py``, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
+_spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+
+def test_summary_reads_each_metric_by_its_direction():
+    parent = [{"mine_s": v, "verify_per_s": r} for v, r in ((4.0, 10.0), (1.0, 30.0), (3.0, 20.0), (2.0, 40.0))]
+    change = [{"mine_s": v, "verify_per_s": r} for v, r in ((3.0, 10.0), (1.5, 35.0), (2.0, 10.0), (1.0, 50.0))]
+    rows = ab_pairs.summarize(parent, change, {"mine_s": "lower", "verify_per_s": "higher"})
+    # mine_s: parent sorted 1, 2, 3, 4; the change is lower in pairs 0, 2 and 3
+    assert rows[0] == ("mine_s", 2.5, (1.75, 3.25), 1.75, 3, 4)
+    # verify_per_s: a tie is no win, so only pairs 1 and 3 count
+    assert rows[1] == ("verify_per_s", 25.0, (17.5, 32.5), 22.5, 2, 4)
+    assert ab_pairs.format_rows("w", rows[:1]) == [
+        "w mine_s: parent 2.5 (quartiles 1.75-3.25) change 1.75, better in 3/4"
+    ]
+
+
+def test_one_pair_has_degenerate_quartiles():
+    rows = ab_pairs.summarize([{"x": 2.0}], [{"x": 1.0}], {"x": "lower"})
+    assert rows == [("x", 2.0, (2.0, 2.0), 1.0, 1, 1)]
+
+
+def test_failed_run_stops_the_script(tmp_path):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        'import json\nprint(json.dumps({"correct": True, "attempted": 3, "failed": 1, "metrics": {}}))\n'
+    )
+    with pytest.raises(RuntimeError, match="failed=1"):
+        ab_pairs.bench_once(tmp_path, "w", 0.1)

@@ -256,6 +256,17 @@ def test_gen_deterministic(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv", [("convert", "--graph", FUNNEL, "--out"), ("gen", "--seed", "1", "--out-dir")])
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    # a regular file cannot hold a directory, so nothing under it can be written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, *argv, str(blocker / "sub" / "out.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and str(blocker) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv,needle",
     [

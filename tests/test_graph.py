@@ -4,7 +4,9 @@ import pytest
 
 import walkmine.graph as graphmod
 from helpers import color_graph, feature_graph, vs
-from walkmine.bitset import VertexSet
+from walkmine.bitset import VertexSet, iter_bits, mask_of
+from walkmine.criterion import Atom
+from walkmine.generate import random_instance
 from walkmine.graph import (
     CATEGORICAL,
     ORDERED,
@@ -20,6 +22,10 @@ from walkmine.graph import (
     reachability_levels,
     select_by_color,
 )
+from walkmine.graphio import load_graph, serialize_graph
+from walkmine.mining import MiningConfig
+from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp, simulate_scp
+from walkmine.stp import classify_stp, consistent, select_by_criterion, simulate_stp
 
 
 def small_graph():
@@ -203,3 +209,65 @@ def test_convert_multigraph_name_clash():
     mg = MultiGraph(schema, ["u", "v", "u->v"], [("r",), ("g",), ("b",)], [(0, 1, None)])
     g = convert_multigraph(mg)
     assert "u->v#2" in g.names
+
+
+# -- feature-vector twins ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("extra_dims", [0, 1, 2])
+def test_twins_match_a_per_vertex_definition(extra_dims):
+    for seed in range(1000, 1040):
+        g = random_instance(seed, extra_dims=extra_dims).graph
+        rng = random.Random(seed)
+        for mask in [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(8)]:
+            members = list(iter_bits(mask))
+            brute = mask_of(u for u in range(g.n) if any(g.rows[u] == g.rows[v] for v in members))
+            assert g.twins(mask) == brute
+
+
+def test_twins_compare_vectors_as_tuples():
+    # a missing value equals a missing value, and 1 equals 1.0
+    g = feature_graph(
+        [("color", CATEGORICAL), ("w", ORDERED)], ["a", "b", "c", "d", "e"],
+        [("r", 1), ("r", 1.0), ("r", None), ("r", None), ("g", 1)], [],
+    )
+    assert g.twins(vs(g, "a").mask) == vs(g, "a", "b").mask
+    assert g.twins(vs(g, "d").mask) == vs(g, "c", "d").mask
+    assert g.twins(vs(g, "b", "e").mask) == vs(g, "a", "b", "e").mask
+
+
+def test_vector_map_is_built_on_first_use_only():
+    inst = random_instance(1003, extra_dims=2)
+    g = load_graph(serialize_graph(inst.graph))
+    assert g._twin_masks is None
+    for miner in (mine_exact_scp, mine_feasible_scp):
+        for fidelity in ("repaired", "literal"):
+            list(miner(g, inst.source, inst.target, MiningConfig(max_len=4, fidelity=fidelity)))
+    assert g._twin_masks is None
+    g.twins(1)
+    assert g._twin_masks is not None
+
+
+# -- vertex sets of another universe -------------------------------------------------
+
+_RED = Atom(0, "=", "red")
+FOREIGN_CALLS = {
+    "select_by_color": lambda g, X: select_by_color(g, X, "red"),
+    "select_by_criterion": lambda g, X: select_by_criterion(g, X, _RED),
+    "simulate_scp": lambda g, X: simulate_scp(g, X, (0,)),
+    "simulate_stp": lambda g, X: simulate_stp(g, X, (_RED,)),
+    "classify_scp": lambda g, X: classify_scp(g, X, g.full_set(), (0,)),
+    "classify_scp target": lambda g, X: classify_scp(g, g.full_set(), X, (0,)),
+    "classify_stp": lambda g, X: classify_stp(g, X, g.full_set(), (_RED,)),
+    "consistent": lambda g, X: consistent(g, X, g.vertex_set(), g.vertex_set()),
+    "consistent sides": lambda g, X: consistent(g, g.full_set(), X, VertexSet(X.size)),
+    "mine_exact_scp": lambda g, X: list(mine_exact_scp(g, X, g.full_set(), MiningConfig(max_len=1))),
+}
+
+
+@pytest.mark.parametrize("size", [3, 11])
+@pytest.mark.parametrize("call", FOREIGN_CALLS.values(), ids=FOREIGN_CALLS.keys())
+def test_foreign_universe_sets_raise(call, size):
+    g = small_graph()  # six vertices
+    with pytest.raises(ValueError, match="universe"):
+        call(g, VertexSet.full(size))

@@ -90,19 +90,19 @@ def _mask(*names):
     return vs(_LADDER, *names).mask
 
 
-def _step_back(source, target, length, safe=lambda state, base: base, split=None):
+def _step_back(source, target, length, alike=lambda B: 0, split=None, g=_LADDER):
     """Run the exact backward search at one length with logging fake hooks.
 
-    The hooks default to: every base vertex safe, the pool one class kept
-    whole, and each step labelled "x". Returns the hook calls, each as its
-    name and the B of the state it saw (the pool, for ``split``), the
-    listed programs and the stats.
+    The hooks default to: nothing alike B, so every base vertex is safe, the
+    pool one class kept whole, and each step labelled "x". Returns the hook
+    calls, each as its name and the B of the state it saw (the pool, for
+    ``split``), the listed programs and the stats.
     """
     calls = []
 
-    def log_safe(state, base):
-        calls.append(("safe", state[1]))
-        return safe(state, base)
+    def log_alike(B):
+        calls.append(("alike", B))
+        return alike(B)
 
     def log_split(pool, allowed):
         calls.append(("split", pool))
@@ -112,12 +112,11 @@ def _step_back(source, target, length, safe=lambda state, base: base, split=None
         calls.append(("label", state[1]))
         return ("x",) + state[0]
 
-    g = _LADDER
     positions = [source]
     while len(positions) <= length:
         positions.append(g.out_image(positions[-1]))
     found, stats = {}, {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
-    search = backward_search(g, "scp", (), vs(g, *target).mask, "exact", log_safe, log_split, log_label)
+    search = backward_search(g, "scp", (), vs(g, *target).mask, "exact", log_alike, log_split, log_label)
     for _ in search(length, positions, Budget(MiningConfig(max_len=length)), found, stats):
         pass
     return calls, list(found), stats
@@ -127,15 +126,44 @@ def test_last_step_base_is_the_whole_source():
     S = _mask("a", "b")
     # a and b each cover c alone, yet S is the one base, drawn from no split
     calls, found, stats = _step_back(S, ["c"], 1)
-    assert calls == [("safe", _mask("c")), ("label", _mask("c"))]
+    assert calls == [("alike", _mask("c")), ("label", _mask("c"))]
     assert found == [("x",)] and stats["pseudo_bases"] == 1
-    # part of S unsafe, no safe set at all, or S's image missing part of B: no state
-    for safe, target in ((lambda state, base: base & ~_mask("b"), ["c"]),
-                         (lambda state, base: None, ["c"]),
-                         (lambda state, base: base, ["c", "t"])):
-        calls, found, stats = _step_back(S, target, 1, safe=safe)
-        assert [name for name, _ in calls] == ["safe"]
+    # b unsafe (its image meets d, alike {c}, outside M), no step keeping B,
+    # or S's image missing part of B: no state
+    for alike, target in ((lambda B: _mask("d"), ["c"]), (lambda B: None, ["c"]), (lambda B: 0, ["c", "t"])):
+        calls, found, stats = _step_back(S, target, 1, alike=alike)
+        assert [name for name, _ in calls] == ["alike"]
         assert found == [] and stats["pseudo_bases"] == 0
+
+
+# s -> {u1, u2, u3}; each u -> m, and u1 -> x, u2 -> y, u3 -> {x, y}
+_FAN = color_graph(
+    ["s", "u1", "u2", "u3", "m", "x", "y"], ["gray"] * 7,
+    [("s", "u1"), ("s", "u2"), ("s", "u3"), ("u1", "m"), ("u2", "m"), ("u3", "m"),
+     ("u1", "x"), ("u2", "y"), ("u3", "x"), ("u3", "y")],
+)
+
+
+def test_safe_set_is_the_base_minus_the_in_image_of_alike_outside_m():
+    g, M = _FAN, vs(_FAN, "m").mask
+    base = vs(g, "u1", "u2", "u3").mask
+    seen = set()
+    for X in range(1 << g.n):
+        kept = []
+
+        def split(pool, allowed):
+            kept.append(allowed)
+            return [(pool, allowed)]
+
+        # one step back from ({m}, {m}): the base is {u1, u2, u3}
+        calls, _, _ = _step_back(vs(g, "s").mask, ["m"], 2, alike=lambda B: X, split=split, g=g)
+        assert calls[0] == ("alike", M)
+        assert kept[0] == base & ~g.in_image(X & ~M)
+        seen.add(kept[0])
+    assert seen == {base, vs(g, "u1").mask, vs(g, "u2").mask, 0}
+    # no step keeps B: no state, nothing split or labelled, nothing listed
+    calls, found, stats = _step_back(vs(g, "s").mask, ["m"], 2, alike=lambda B: None, g=g)
+    assert calls == [("alike", M)] and found == [] and stats["pseudo_bases"] == 0
 
 
 def test_pool_missing_part_of_b_gives_no_state():
@@ -144,21 +172,21 @@ def test_pool_missing_part_of_b_gives_no_state():
 
     # a's image misses d: only b's pool survives, and becomes the next base
     calls, _, stats = _step_back(_mask("s"), ["c", "d"], 2, split=singletons)
-    assert calls[:4] == [("safe", _mask("c", "d")), ("split", _mask("a", "b")),
-                         ("label", _mask("c", "d")), ("safe", _mask("b"))]
+    assert calls[:4] == [("alike", _mask("c", "d")), ("split", _mask("a", "b")),
+                         ("label", _mask("c", "d")), ("alike", _mask("b"))]
     assert stats["pseudo_bases"] == 2
 
 
 def test_label_is_asked_only_for_surviving_pools():
     # the one pool misses d, so no pool survives and nothing is labelled
     calls, _, stats = _step_back(_mask("s"), ["c", "d"], 2, split=lambda pool, allowed: [(_mask("a"), allowed)])
-    assert [name for name, _ in calls] == ["safe", "split"]
+    assert [name for name, _ in calls] == ["alike", "split"]
     assert stats["pseudo_bases"] == 0
 
 
 def test_bases_are_covers_until_one_step_before_the_last():
     calls, found, _ = _step_back(_mask("s"), ["t"], 3)
-    states = [B for name, B in calls if name == "safe"]
+    states = [B for name, B in calls if name == "alike"]
     # three steps back: {t}'s minimal covers in {c, d}; two steps back: the
     # pool itself, {a, b} for c although a and b each cover it alone
     assert states == [_mask("t"), _mask("c"), _mask("d"), _mask("a", "b"), _mask("b")]
@@ -180,7 +208,7 @@ def _cover_listing(max_triples=None):
     positions = [vs(g, "s").mask]
     while len(positions) <= 3:
         positions.append(g.out_image(positions[-1]))
-    search = backward_search(g, "scp", (), vs(g, "x", "y").mask, "exact", lambda state, base: base,
+    search = backward_search(g, "scp", (), vs(g, "x", "y").mask, "exact", lambda B: 0,
                              lambda pool, allowed: [(pool, allowed)], lambda state, allowed: ("x",) + state[0])
     budget = Budget(MiningConfig(max_len=3, max_triples=max_triples))
     stats = {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
