@@ -1,11 +1,12 @@
 """Alternating benchmark runs in two checkouts, summarised metric by metric.
 
-    python3 scripts/ab_pairs.py PARENT CHANGE [--pairs N] [--seconds S] [--workload W]
+    python3 scripts/ab_pairs.py PARENT CHANGE [--pairs N] [--seconds S] [--seed K] [--workload W]
 
 PARENT and CHANGE are the roots of two checkouts. Each pair runs
-``bench/run.py --workload W --seconds S`` once in each, one after the other,
-and the side that runs first flips from pair to pair, so a drift in the
-machine's speed falls on both sides alike. A run that exits non-zero, says
+``bench/run.py --workload W --seed K --seconds S`` once in each (seed K,
+default 1, is the same in every run), one after the other, and the side
+that runs first flips from pair to pair, so a drift in the machine's speed
+falls on both sides alike. A run that exits non-zero, says
 ``correct: false`` or counts a failed operation stops the script with exit
 code 1. For each metric of each workload (default: every workload of
 PARENT's ``BENCHMARK.json``) it prints the parent's median and quartiles,
@@ -23,9 +24,9 @@ import sys
 from pathlib import Path
 
 
-def bench_once(checkout: Path, workload: str, seconds: float) -> dict:
+def bench_once(checkout: Path, workload: str, seconds: float, seed: int = 1) -> dict:
     """The end-to-end metric values of one ``bench/run.py`` run in ``checkout``."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds)]
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -74,6 +75,7 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0, help="measuring time of one run")
+    ap.add_argument("--seed", type=int, default=1, help="workload seed of every run")
     ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
     args = ap.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -84,7 +86,7 @@ def main(argv=None) -> int:
             runs, sides = ([], []), (args.parent, args.change)
             for i in range(args.pairs):
                 for side in (0, 1) if i % 2 == 0 else (1, 0):
-                    runs[side].append(bench_once(sides[side], workload, args.seconds))
+                    runs[side].append(bench_once(sides[side], workload, args.seconds, args.seed))
             rows = summarize(*runs, better)
             print("\n".join(format_rows(workload, rows)), flush=True)
     except RuntimeError as e:

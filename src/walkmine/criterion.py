@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .bitset import iter_bits, mask_of
-from .graph import ORDERED, DirectedGraph, FeatureSchema, _check_value
+from .graph import ORDERED, DirectedGraph, FeatureSchema, _bad_value
 
 OPS = ("<", "<=", "=", ">=", ">")
 _ORDER = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
@@ -283,7 +283,8 @@ def criterion_from_dict(doc, schema: FeatureSchema) -> Criterion:
         raise ValueError(f"unknown operator {op!r}")
     if op != "=" and schema.kind_of(dim) != ORDERED:
         raise ValueError(f"order comparison on categorical feature {raw['f']!r}")
-    _check_value(schema.kind_of(dim), value, f"feature {raw['f']!r}")
+    if problem := _bad_value(schema.kind_of(dim), value):
+        raise ValueError(f"feature {raw['f']!r}: {problem}")
     return Atom(dim, op, value)
 
 

@@ -11,6 +11,7 @@ plus the edges of the active vertices' rows.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,18 +80,20 @@ class FeatureSchema:
         return dim
 
 
-def _check_value(kind: str, value, where: str):
+def _bad_value(kind: str, value) -> Optional[str]:
+    """Why ``value`` does not fit a dimension of ``kind``, or None if it fits
+    (a missing value, None, always fits)."""
     if value is None:
-        return
+        return None
     if kind == ORDERED:
         # bool is an int subclass; reject it so orderings stay numeric
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{where}: ordered dimension needs a number, got {value!r}")
-        if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
-            raise ValueError(f"{where}: non-finite number {value!r}")
-    else:
-        if not isinstance(value, str):
-            raise ValueError(f"{where}: categorical dimension needs a string, got {value!r}")
+            return f"ordered dimension needs a number, got {value!r}"
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"non-finite number {value!r}"
+    elif not isinstance(value, str):
+        return f"categorical dimension needs a string, got {value!r}"
+    return None
 
 
 class DirectedGraph:
@@ -113,51 +116,56 @@ class DirectedGraph:
         n = len(names)
         if len(rows) != n:
             raise ValueError("one feature row per vertex required")
-        if len(set(names)) != n:
+        self.names = tuple(names)
+        self._ids = dict(zip(self.names, range(n)))
+        if len(self._ids) != n:
             raise ValueError("vertex names must be unique")
         self.schema = schema
-        self.names = tuple(names)
         self.color_dim = color_dim
-        fixed = []
-        for v, row in enumerate(rows):
-            row = tuple(row)
-            if len(row) != len(schema):
+        self.rows = tuple(map(tuple, rows))
+        width = len(schema)
+        for v, row in enumerate(self.rows):
+            if len(row) != width:
                 raise ValueError(f"vertex {names[v]!r}: row width differs from schema")
             for d, value in zip(schema.dims, row):
-                _check_value(d.kind, value, f"vertex {names[v]!r}, dimension {d.name!r}")
-            fixed.append(row)
-        self.rows = tuple(fixed)
+                if problem := _bad_value(d.kind, value):
+                    raise ValueError(f"vertex {names[v]!r}, dimension {d.name!r}: {problem}")
         self.n = n
-        self._ids = {name: v for v, name in enumerate(self.names)}
-
-        uniq = sorted(set(edges))
-        for s, d in uniq:
-            if not (0 <= s < n and 0 <= d < n):
-                raise ValueError(f"edge ({s}, {d}) references unknown vertex")
-        self.num_edges = len(uniq)
         self._vectorised = n >= _DENSE_LIMIT
         if self._vectorised:
-            src = np.fromiter((s for s, _ in uniq), dtype=np.int64, count=len(uniq))
-            dst = np.fromiter((d for _, d in uniq), dtype=np.int64, count=len(uniq))
-            # uniq is sorted by source, so v's out-edges are _dst[_ptr[v]:_ptr[v + 1]]
-            # and its in-edges _in_src[_in_ptr[v]:_in_ptr[v + 1]]
+            try:
+                pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+            except OverflowError as e:  # an id beyond int64 is no vertex either
+                raise ValueError(f"edge references unknown vertex: {e}") from None
+            bad = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)].tolist()
+        else:
+            pairs = set(edges)
+            bad = [(s, d) for s, d in pairs if not (0 <= s < n and 0 <= d < n)]
+        if bad:
+            s, d = min(map(tuple, bad))
+            raise ValueError(f"edge ({s}, {d}) references unknown vertex")
+        if self._vectorised:
+            # the sorted, duplicate-free (source, target) pairs as keys s * n + d
+            keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            # v's out-edges are _dst[_ptr[v]:_ptr[v + 1]], its in-edges _in_src[_in_ptr[v]:_in_ptr[v + 1]]
+            src, self._dst = np.divmod(keys, n)
+            in_dst, self._in_src = np.divmod(np.sort(self._dst * n + src), n)
             bounds = np.arange(n + 1)
             self._ptr = np.searchsorted(src, bounds)
-            self._dst = dst
-            by_dst = np.argsort(dst, kind="stable")
-            self._in_ptr = np.searchsorted(dst[by_dst], bounds)
-            self._in_src = src[by_dst]
+            self._in_ptr = np.searchsorted(in_dst, bounds)
+            self.num_edges = len(keys)
             self._out_masks = None
             self._in_masks = None
         else:
             out = [0] * n
             inc = [0] * n
-            for s, d in uniq:
+            for s, d in pairs:
                 out[s] |= 1 << d
                 inc[d] |= 1 << s
+            self.num_edges = len(pairs)
             self._out_masks = out
             self._in_masks = inc
-        self._edge_list = uniq
         self._color_names: Optional[tuple[str, ...]] = None
         self._color_ids: dict[str, int] = {}
         self._vcolor: Optional[tuple[int, ...]] = None
@@ -207,7 +215,11 @@ class DirectedGraph:
                 raise ValueError("vertex sets must live in the graph's universe")
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._edge_list)
+        """The (source, target) pairs, in ascending order."""
+        if self._vectorised:
+            src = np.repeat(np.arange(self.n), np.diff(self._ptr))
+            return tuple(zip(src.tolist(), self._dst.tolist()))
+        return tuple((s, d) for s, mask in enumerate(self._out_masks) for d in iter_bits(mask))
 
     def vertex_set(self, ids: Iterable[int] = ()) -> VertexSet:
         return VertexSet.from_ids(self.n, ids)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .bitset import VertexSet
@@ -13,7 +14,7 @@ from .graph import (
     DirectedGraph,
     FeatureSchema,
     MultiGraph,
-    _check_value,
+    _bad_value,
 )
 
 Graph = Union[DirectedGraph, MultiGraph]
@@ -28,7 +29,7 @@ class GraphFormatError(ValueError):
 
 
 def _fail(location: str, message: str):
-    raise GraphFormatError(location, message)
+    raise GraphFormatError(location, message) from None
 
 
 def _require(doc, key, expected, location):
@@ -55,22 +56,55 @@ def _load_schema(raw, location) -> FeatureSchema:
         _fail(location, str(e))
 
 
-def _load_features(raw, schema: FeatureSchema, location) -> list:
-    row = [None] * len(schema)
-    if raw is None:
-        return row
+def _check_features(raw, schema: FeatureSchema, location):
     if not isinstance(raw, dict):
         _fail(location, "'features' must be an object")
     for name, value in raw.items():
         if not schema.has(name):
             _fail(location, f"unknown feature {name!r}")
-        dim = schema.index(name)
-        try:
-            _check_value(schema.kind_of(dim), value, f"feature {name!r}")
-        except ValueError as e:
-            _fail(location, str(e))
-        row[dim] = value
-    return row
+        if problem := _bad_value(schema.kind_of(schema.index(name)), value):
+            _fail(location, f"feature {name!r}: {problem}")
+
+
+def _check_entries(schema: FeatureSchema, raw_vertices: list, raw_edges: list):
+    """Check a document's entries one by one, raising at the first offence."""
+    ids = set()
+    for i, entry in enumerate(raw_vertices):
+        where = f"vertices[{i}]"
+        name = _require(entry, "id", str, where)
+        if name in ids:
+            _fail(where, f"duplicate vertex id {name!r}")
+        ids.add(name)
+        if entry.get("features") is not None:  # null: every feature missing
+            _check_features(entry["features"], schema, where)
+    for i, entry in enumerate(raw_edges):
+        where = f"edges[{i}]"
+        for endpoint in (_require(entry, "src", str, where), _require(entry, "dst", str, where)):
+            if endpoint not in ids:
+                _fail(where, f"unknown vertex {endpoint!r}")
+        if "features" in entry:
+            _check_features(entry["features"], schema, where)
+
+
+def _read_entries(schema: FeatureSchema, raw_vertices: list, raw_edges: list):
+    """Vertex names, feature rows and edge endpoint ids of a document, without
+    the checks of :func:`_check_entries`: a malformed entry raises KeyError or
+    TypeError, and values are left for the graph's constructor to check."""
+    names = list(map(itemgetter("id"), raw_vertices))
+    if not set(map(type, names)) <= {str}:
+        raise TypeError("vertex ids must be strings")
+    ids = dict(zip(names, range(len(names))))
+    feats = [entry.get("features") for entry in raw_vertices]
+    if not set(map(type, feats)) <= {dict, type(None)}:
+        raise TypeError("'features' must be an object")
+    feats = [f or {} for f in feats]
+    if not set().union(*feats) <= {d.name for d in schema}:
+        raise KeyError("unknown feature")
+    columns = [[f.get(d.name) for f in feats] for d in schema]
+    rows = list(zip(*columns)) if columns else [()] * len(feats)
+    src = list(map(ids.__getitem__, map(itemgetter("src"), raw_edges)))
+    dst = list(map(ids.__getitem__, map(itemgetter("dst"), raw_edges)))
+    return names, rows, src, dst
 
 
 def load_graph(text: Union[str, bytes], color_dim: str = "color") -> Graph:
@@ -98,44 +132,23 @@ def load_graph(text: Union[str, bytes], color_dim: str = "color") -> Graph:
     raw_vertices = _require(doc, "vertices", list, "document")
     raw_edges = _require(doc, "edges", list, "document")
 
-    names: list[str] = []
-    rows: list[list] = []
-    ids: dict[str, int] = {}
-    for i, entry in enumerate(raw_vertices):
-        where = f"vertices[{i}]"
-        name = _require(entry, "id", str, where)
-        if name in ids:
-            _fail(where, f"duplicate vertex id {name!r}")
-        ids[name] = len(names)
-        names.append(name)
-        rows.append(_load_features(entry.get("features") if isinstance(entry, dict) else None, schema, where))
-
-    multi = False
-    seen_pairs = set()
-    edges: list[tuple[int, int, Optional[dict]]] = []
-    for i, entry in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        src = _require(entry, "src", str, where)
-        dst = _require(entry, "dst", str, where)
-        for endpoint in (src, dst):
-            if endpoint not in ids:
-                _fail(where, f"unknown vertex {endpoint!r}")
-        feats = None
-        if "features" in entry:
-            multi = True
-            feats = entry["features"]
-            if not isinstance(feats, dict):
-                _fail(where, "'features' must be an object")
-            _load_features(feats, schema, where)
-        pair = (ids[src], ids[dst])
-        if pair in seen_pairs:
-            multi = True
-        seen_pairs.add(pair)
-        edges.append((pair[0], pair[1], feats))
-
-    if multi:
-        return MultiGraph(schema, names, rows, [(s, d, f or {}) for s, d, f in edges], color_dim=color_dim)
-    return DirectedGraph(schema, names, rows, [(s, d) for s, d, _ in edges], color_dim=color_dim)
+    # A simple graph's entries and values are read once, on the way to the
+    # graph; a document that fails somewhere is read again, entry by entry,
+    # to name its first offence.
+    try:
+        names, rows, src, dst = _read_entries(schema, raw_vertices, raw_edges)
+        if not any("features" in entry for entry in raw_edges):
+            g = DirectedGraph(schema, names, rows, zip(src, dst), color_dim=color_dim)
+            if g.num_edges == len(raw_edges):  # no parallel edges were merged
+                return g
+    except (KeyError, TypeError, ValueError):
+        _check_entries(schema, raw_vertices, raw_edges)
+        raise
+    # edge features or parallel edges: a multigraph, whose edge features only
+    # the entry-by-entry read checks
+    _check_entries(schema, raw_vertices, raw_edges)
+    edges = [(s, d, entry.get("features") or {}) for s, d, entry in zip(src, dst, raw_edges)]
+    return MultiGraph(schema, names, rows, edges, color_dim=color_dim)
 
 
 def serialize_graph(g: Graph) -> str:

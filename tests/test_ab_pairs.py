@@ -1,6 +1,7 @@
 """The summary of ``scripts/ab_pairs.py``, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,29 @@ def test_failed_run_stops_the_script(tmp_path):
     )
     with pytest.raises(RuntimeError, match="failed=1"):
         ab_pairs.bench_once(tmp_path, "w", 0.1)
+
+
+def _echo_checkout(root: Path) -> Path:
+    """A checkout whose ``bench/run.py`` logs its arguments and reports its seed."""
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(
+        "import json, sys\n"
+        "with open('argv.jsonl', 'a') as log:\n"
+        "    log.write(json.dumps(sys.argv[1:]) + '\\n')\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {'seed': {'value': seed}}}))\n"
+    )
+    spec = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "seed", "better": "lower"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+@pytest.mark.parametrize("argv,seed", [([], 1), (["--seed", "7"], 7)])
+def test_seed_reaches_every_run(tmp_path, capsys, argv, seed):
+    parent, change = _echo_checkout(tmp_path / "parent"), _echo_checkout(tmp_path / "change")
+    assert ab_pairs.main([str(parent), str(change), "--pairs", "2", "--seconds", "0.5"] + argv) == 0
+    assert capsys.readouterr().out == f"w seed: parent {seed} (quartiles {seed}-{seed}) change {seed}, better in 0/2\n"
+    expected = ["--workload", "w", "--seed", str(seed), "--seconds", "0.5"]
+    for checkout in (parent, change):
+        runs = (checkout / "argv.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in runs] == [expected] * 2

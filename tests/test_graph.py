@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -171,6 +172,91 @@ def test_vectorised_images_agree_with_mask_path(monkeypatch):
     for v in range(n):
         assert big.out_mask(v) == small.out_mask(v)
         assert bare.out_mask(v) == 0
+
+
+def _on_both_layouts(monkeypatch, build):
+    """``build()`` on the mask layout, then on the edge-array layout."""
+    masks = build()
+    with monkeypatch.context() as m:
+        m.setattr(graphmod, "_DENSE_LIMIT", 2)
+        arrays = build()
+    assert arrays._vectorised and not masks._vectorised
+    return masks, arrays
+
+
+def test_both_layouts_build_the_same_graph(monkeypatch):
+    rng = random.Random(5)
+    n = 40
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(150)]
+    pairs += pairs[:30]  # duplicate pairs, out of order
+    schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
+    names = [f"v{i}" for i in range(n)]
+    rows = [(rng.choice(["red", "blue", None]), rng.choice([1, 2.5, None])) for _ in range(n)]
+    doc = {
+        "schema": [{"name": "color", "kind": CATEGORICAL}, {"name": "n", "kind": ORDERED}],
+        "vertices": [{"id": name, "features": {"color": c, "n": x}} for name, (c, x) in zip(names, rows)],
+        "edges": [{"src": names[s], "dst": names[d]} for s, d in sorted(set(pairs), reverse=True)],
+    }
+    builds = {
+        "set": lambda: DirectedGraph(schema, names, rows, set(pairs)),
+        "unsorted list with duplicates": lambda: DirectedGraph(schema, names, rows, pairs),
+        "iterator": lambda: DirectedGraph(schema, names, rows, iter(pairs)),
+        "load_graph": lambda: load_graph(json.dumps(doc)),
+    }
+    expected_edges = tuple(sorted(set(pairs)))
+    probes = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+    for how, build in builds.items():
+        masks, arrays = _on_both_layouts(monkeypatch, build)
+        for g in (masks, arrays):
+            assert g.names == tuple(names) and g.rows == tuple(rows), how
+            assert g.num_edges == len(expected_edges) and g.edges() == expected_edges, how
+            assert [g.out_mask(v) for v in range(n)] == [masks.out_mask(v) for v in range(n)], how
+            for mask in probes:
+                assert g.out_image(mask) == masks.out_image(mask), how
+                assert g.in_image(mask) == masks.in_image(mask), how
+
+
+@pytest.mark.parametrize(
+    "edges,named",
+    [
+        ([(5, 1), (2, 9), (2, 7), (0, 1)], (2, 7)),
+        ([(5, 1), (2, 9), (-1, 3), (6, 0)], (-1, 3)),
+        ({(3, 6), (0, 1)}, (3, 6)),
+    ],
+)
+def test_out_of_range_edge_is_named_alike_on_both_layouts(monkeypatch, edges, named):
+    # the smallest bad pair in sorted order is named, whatever the input order
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    names, rows = [f"v{i}" for i in range(6)], [("x",)] * 6
+    messages = []
+    for limit in (10**6, 2):
+        monkeypatch.setattr(graphmod, "_DENSE_LIMIT", limit)
+        with pytest.raises(ValueError) as err:
+            DirectedGraph(schema, names, rows, edges)
+        messages.append(str(err.value))
+    assert messages == [f"edge {named} references unknown vertex"] * 2
+    # an id beyond int64 is out of range on the edge-array layout too
+    with pytest.raises(ValueError, match="references unknown vertex"):
+        DirectedGraph(schema, names, rows, [(0, 2**70)])
+
+
+def test_bad_values_are_named_in_row_order():
+    # v1 holds a bad value in the second dimension, v2 one in the first: a
+    # check that scanned dimension by dimension would name v2 first
+    schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
+    names = ["v0", "v1", "v2"]
+    rows = [("red", 1), ("red", True), (5, 2)]
+    with pytest.raises(ValueError) as err:
+        DirectedGraph(schema, names, rows, [])
+    assert str(err.value) == "vertex 'v1', dimension 'n': ordered dimension needs a number, got True"
+    rows = [("red", 1), ("red", 2), (5, float("inf"))]
+    with pytest.raises(ValueError) as err:
+        DirectedGraph(schema, names, rows, [])
+    assert str(err.value) == "vertex 'v2', dimension 'color': categorical dimension needs a string, got 5"
+    rows = [("red", 1), ("red",), (5, 2)]
+    with pytest.raises(ValueError) as err:
+        DirectedGraph(schema, names, rows, [])
+    assert str(err.value) == "vertex 'v1': row width differs from schema"
 
 
 def test_multigraph_feature_validation():

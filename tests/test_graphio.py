@@ -96,6 +96,69 @@ def test_error_locations(mangle, location):
     assert err.value.location == location
 
 
+def _large_doc():
+    """DOC's schema on a ring of 4,200 vertices with chords, above the dense limit."""
+    n = 4200
+    return {
+        "schema": DOC["schema"],
+        "vertices": [{"id": f"x{i}", "features": {"color": "red", "n": i}} for i in range(n)],
+        "edges": [{"src": f"x{i}", "dst": f"x{(i + k) % n}"} for i in range(n) for k in (1, 7)],
+    }
+
+
+def _load_with_faults(doc):
+    # json.dumps writes inf as Infinity, which is rejected as a document
+    # fault; 1e999 reaches the loader as a float inf
+    return load_graph(json.dumps(doc).replace('"INF"', "1e999"))
+
+
+def _rename(doc, i, name):
+    doc["vertices"][i]["id"] = name
+
+
+LATE_FAULTS = {
+    "unknown endpoint": ("edges", lambda d, i: d["edges"][i].update(dst="nowhere")),
+    "non-string dst": ("edges", lambda d, i: d["edges"][i].update(dst=7)),
+    "edge not an object": ("edges", lambda d, i: d["edges"].__setitem__(i, ["u", "v"])),
+    "null edge features": ("edges", lambda d, i: d["edges"][i].update(features=None)),
+    "duplicate vertex id": ("vertices", lambda d, i: (_rename(d, i - 1, "dup"), _rename(d, i, "dup"))),
+    "non-finite value": ("vertices", lambda d, i: d["vertices"][i].update(features={"n": "INF"})),
+    "bool value": ("vertices", lambda d, i: d["vertices"][i].update(features={"n": True})),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+def test_error_locations_on_a_large_document(fault):
+    # the same fault in the last entry of DOC and of a document read through
+    # the edge-array layout names that entry, with the same message
+    part, mangle = LATE_FAULTS[fault]
+    messages = []
+    for doc in (json.loads(json.dumps(DOC)), _large_doc()):
+        i = len(doc[part]) - 1
+        mangle(doc, i)
+        with pytest.raises(GraphFormatError) as err:
+            _load_with_faults(doc)
+        assert err.value.location == f"{part}[{i}]"
+        messages.append(str(err.value).split(": ", 1)[1])
+    assert messages[0] == messages[1]
+
+
+def test_large_document_reports_its_first_offence_and_parallel_edges():
+    g = load_graph(json.dumps(_large_doc()))
+    assert isinstance(g, DirectedGraph) and g._vectorised and g.num_edges == 8400
+    # a late vertex fault is named before an early edge fault
+    doc = _large_doc()
+    doc["vertices"][4198]["features"] = {"n": True}
+    doc["edges"][0]["dst"] = "nowhere"
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(json.dumps(doc))
+    assert err.value.location == "vertices[4198]"
+    doc = _large_doc()
+    doc["edges"].append(dict(doc["edges"][-1]))
+    mg = load_graph(json.dumps(doc))
+    assert isinstance(mg, MultiGraph) and len(mg.edges) == 8401 and mg.edges[-1] == mg.edges[-2]
+
+
 def test_rejects_bad_json_and_nonfinite():
     with pytest.raises(GraphFormatError):
         load_graph("{not json")
