@@ -10,8 +10,15 @@ falls on both sides alike. A run that exits non-zero, says
 ``correct: false`` or counts a failed operation stops the script with exit
 code 1. For each metric of each workload (default: every workload of
 PARENT's ``BENCHMARK.json``) it prints the parent's median and quartiles,
-the change's median, and in how many pairs the change was better, by the
-metric's ``better`` direction in that file.
+the change's median, in how many pairs the change was better, by the
+metric's ``better`` direction in that file, and a verdict against the
+metric's ``bound`` there (a fraction of the parent's median):
+
+- ``unresolved`` when the parent's quartile spread exceeds the bound,
+  unless every change run beats every parent run;
+- otherwise ``worse beyond bound`` when the change's median is worse than
+  the parent's by more than the bound;
+- otherwise ``within bound``.
 """
 
 from __future__ import annotations
@@ -44,28 +51,40 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def summarize(parent: list, change: list, better: dict) -> list:
-    """One row per metric of ``better``: (metric, parent median, parent
-    quartiles, change median, pairs the change won, pairs).
+def summarize(parent: list, change: list, metrics: list) -> list:
+    """One row per entry of ``metrics`` (``BENCHMARK.json`` ``end_to_end``
+    entries, with ``name``, ``better`` and ``bound``): (metric, parent
+    median, parent quartiles, change median, pairs the change won, pairs,
+    verdict).
 
     ``parent[i]`` and ``change[i]`` are the metric dicts of pair i; a pair
     is won when the change's value is strictly better.
     """
     rows = []
-    for name, direction in better.items():
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "higher" else -1
         old = [run[name] for run in parent]
         new = [run[name] for run in change]
-        sign = 1 if direction == "higher" else -1
         wins = sum(1 for a, b in zip(old, new) if sign * (b - a) > 0)
-        rows.append((name, statistics.median(old), quartiles(old), statistics.median(new), wins, len(old)))
+        old_median, new_median = statistics.median(old), statistics.median(new)
+        q1, q3 = quartiles(old)
+        all_beat = min(sign * b for b in new) > max(sign * a for a in old)
+        if q3 - q1 > bound * old_median and not all_beat:
+            verdict = "unresolved"
+        elif sign * (new_median - old_median) < -bound * old_median:
+            verdict = "worse beyond bound"
+        else:
+            verdict = "within bound"
+        rows.append((name, old_median, (q1, q3), new_median, wins, len(old), verdict))
     return rows
 
 
 def format_rows(workload: str, rows: list) -> list:
     lines = []
-    for name, old, (q1, q3), new, wins, pairs in rows:
+    for name, old, (q1, q3), new, wins, pairs, verdict in rows:
         lines.append(f"{workload} {name}: parent {old:.6g} (quartiles {q1:.6g}-{q3:.6g}) "
-                     f"change {new:.6g}, better in {wins}/{pairs}")
+                     f"change {new:.6g}, better in {wins}/{pairs}, {verdict}")
     return lines
 
 
@@ -79,7 +98,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
     args = ap.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     try:
         for workload in workloads:
@@ -87,7 +105,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 for side in (0, 1) if i % 2 == 0 else (1, 0):
                     runs[side].append(bench_once(sides[side], workload, args.seconds, args.seed))
-            rows = summarize(*runs, better)
+            rows = summarize(*runs, spec["end_to_end"])
             print("\n".join(format_rows(workload, rows)), flush=True)
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,6 +12,7 @@ plus the edges of the active vertices' rows.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -96,23 +97,24 @@ def _bad_value(kind: str, value) -> Optional[str]:
     return None
 
 
-class DirectedGraph:
-    """Simple directed graph whose vertices carry feature vectors.
+def _feature_problem(schema: FeatureSchema, feats) -> Optional[str]:
+    """Why ``feats``, a ``features`` object of dimension names to values, does
+    not fit ``schema``, or None if it fits."""
+    if not isinstance(feats, dict):
+        return "'features' must be an object"
+    for name, value in feats.items():
+        if not schema.has(name):
+            return f"unknown feature {name!r}"
+        if problem := _bad_value(schema.kind_of(schema.index(name)), value):
+            return f"feature {name!r}: {problem}"
+    return None
 
-    ``rows[v]`` is the feature tuple of vertex ``v`` aligned with ``schema``;
-    ``None`` entries mean the feature is missing. The colour of a vertex is
-    its value in the ``color_dim`` dimension; vertices whose colour is
-    missing belong to no colour class.
-    """
 
-    def __init__(
-        self,
-        schema: FeatureSchema,
-        names: Sequence[str],
-        rows: Sequence[Sequence],
-        edges: Iterable[tuple[int, int]],
-        color_dim: str = "color",
-    ):
+class _VertexTable:
+    """Named vertices whose feature rows are checked against a schema: the
+    vertex facts :class:`DirectedGraph` and :class:`MultiGraph` share."""
+
+    def __init__(self, schema: FeatureSchema, names: Sequence[str], rows: Sequence[Sequence], color_dim: str):
         n = len(names)
         if len(rows) != n:
             raise ValueError("one feature row per vertex required")
@@ -131,6 +133,43 @@ class DirectedGraph:
                 if problem := _bad_value(d.kind, value):
                     raise ValueError(f"vertex {names[v]!r}, dimension {d.name!r}: {problem}")
         self.n = n
+
+    def vertex_id(self, name: str) -> int:
+        if name not in self._ids:
+            raise KeyError(f"no vertex named {name!r}")
+        return self._ids[name]
+
+    def has_vertex(self, name: str) -> bool:
+        return name in self._ids
+
+
+@dataclass(frozen=True, slots=True)  # slots: a field read is one specialised load
+class _Colors:
+    names: tuple[str, ...]  # a graph's colours in first-occurrence order; a colour's id is its index
+    ids: dict[str, int]
+    of: tuple[int, ...]  # colour id of each vertex, -1 where it has none
+    masks: tuple[int, ...]  # mask of each colour's class
+
+
+class DirectedGraph(_VertexTable):
+    """Simple directed graph whose vertices carry feature vectors.
+
+    ``rows[v]`` is the feature tuple of vertex ``v`` aligned with ``schema``;
+    ``None`` entries mean the feature is missing. The colour of a vertex is
+    its value in the ``color_dim`` dimension; vertices whose colour is
+    missing belong to no colour class.
+    """
+
+    def __init__(
+        self,
+        schema: FeatureSchema,
+        names: Sequence[str],
+        rows: Sequence[Sequence],
+        edges: Iterable[tuple[int, int]],
+        color_dim: str = "color",
+    ):
+        super().__init__(schema, names, rows, color_dim)
+        n = self.n
         self._vectorised = n >= _DENSE_LIMIT
         if self._vectorised:
             try:
@@ -166,10 +205,8 @@ class DirectedGraph:
             self.num_edges = len(pairs)
             self._out_masks = out
             self._in_masks = inc
-        self._color_names: Optional[tuple[str, ...]] = None
-        self._color_ids: dict[str, int] = {}
-        self._vcolor: Optional[tuple[int, ...]] = None
-        self._color_masks: Optional[list[int]] = None
+        # filled by _intern_colors on first use
+        self._colors: Optional[_Colors] = None
         # vertex -> mask of its feature-vector class, filled by twins
         self._twin_masks: Optional[list[int]] = None
         # criterion atom -> mask of the vertices satisfying it, filled by
@@ -179,14 +216,6 @@ class DirectedGraph:
         self._criterion_keys: dict = {}
 
     # -- identity ---------------------------------------------------------
-
-    def vertex_id(self, name: str) -> int:
-        if name not in self._ids:
-            raise KeyError(f"no vertex named {name!r}")
-        return self._ids[name]
-
-    def has_vertex(self, name: str) -> bool:
-        return name in self._ids
 
     def vector(self, v: int) -> tuple:
         return self.rows[v]
@@ -229,32 +258,20 @@ class DirectedGraph:
 
     # -- colours ----------------------------------------------------------
 
-    def _intern_colors(self):
+    def _intern_colors(self) -> _Colors:
         dim = self.schema.color_index(self.color_dim)
         ids: dict[str, int] = {}
-        vcolor = []
-        for row in self.rows:
-            value = row[dim]
-            if value is None:
-                vcolor.append(-1)
-            else:
-                if value not in ids:
-                    ids[value] = len(ids)
-                vcolor.append(ids[value])
+        of = [-1 if row[dim] is None else ids.setdefault(row[dim], len(ids)) for row in self.rows]
         masks = [0] * len(ids)
-        for v, c in enumerate(vcolor):
+        for v, c in enumerate(of):
             if c >= 0:
                 masks[c] |= 1 << v
-        self._color_ids = ids
-        self._color_names = tuple(ids)
-        self._vcolor = tuple(vcolor)
-        self._color_masks = masks
+        self._colors = _Colors(tuple(ids), ids, tuple(of), tuple(masks))
+        return self._colors
 
     @property
     def color_names(self) -> tuple[str, ...]:
-        if self._color_names is None:
-            self._intern_colors()
-        return self._color_names
+        return (self._colors or self._intern_colors()).names
 
     @property
     def num_colors(self) -> int:
@@ -262,28 +279,22 @@ class DirectedGraph:
 
     def color_id(self, name: str) -> int:
         """Interned id of a colour name, or -1 if no vertex has it."""
-        if self._color_names is None:
-            self._intern_colors()
-        return self._color_ids.get(name, -1)
+        return (self._colors or self._intern_colors()).ids.get(name, -1)
 
     def color_of(self, v: int) -> int:
-        if self._vcolor is None:
-            self._intern_colors()
-        return self._vcolor[v]
+        return (self._colors or self._intern_colors()).of[v]
 
     def color_mask(self, cid: int) -> int:
-        if self._color_masks is None:
-            self._intern_colors()
-        if cid < 0 or cid >= len(self._color_masks):
-            return 0
-        return self._color_masks[cid]
+        masks = (self._colors or self._intern_colors()).masks
+        return masks[cid] if 0 <= cid < len(masks) else 0
 
     def color_class(self, cid: int) -> VertexSet:
         return VertexSet(self.n, self.color_mask(cid))
 
     def colors_in(self, mask: int) -> list[int]:
         """Ids of the colours held by some vertex of ``mask``, ascending."""
-        return [c for c in range(self.num_colors) if mask & self.color_mask(c)]
+        masks = (self._colors or self._intern_colors()).masks
+        return [c for c, cmask in enumerate(masks) if mask & cmask]
 
     # -- raw mask images ----------------------------------------------------
 
@@ -330,11 +341,12 @@ class DirectedGraph:
         return self._out_masks[v]
 
 
-class MultiGraph:
+class MultiGraph(_VertexTable):
     """Directed multigraph whose edges may carry their own feature vectors.
 
     Kept only as an interchange form: analysis runs on the simple graph
-    produced by :func:`convert_multigraph`.
+    produced by :func:`convert_multigraph`. Rows are checked as
+    :class:`DirectedGraph` checks them, and edge features by the same rule.
     """
 
     def __init__(
@@ -342,32 +354,16 @@ class MultiGraph:
         schema: FeatureSchema,
         names: Sequence[str],
         rows: Sequence[Sequence],
-        edges: Sequence[tuple[int, int, Optional[dict]]],
+        edges: Iterable[tuple[int, int, Optional[dict]]],
         color_dim: str = "color",
     ):
-        if len(rows) != len(names):
-            raise ValueError("one feature row per vertex required")
-        if len(set(names)) != len(names):
-            raise ValueError("vertex names must be unique")
-        self.schema = schema
-        self.names = tuple(names)
-        self._ids = {name: v for v, name in enumerate(self.names)}
-        self.rows = tuple(tuple(r) for r in rows)
-        self.color_dim = color_dim
-        self.n = len(names)
-        for s, d, feats in edges:
+        super().__init__(schema, names, rows, color_dim)
+        self.edges = tuple((s, d, dict(f) if f else {}) for s, d, f in edges)
+        for s, d, feats in self.edges:
             if not (0 <= s < self.n and 0 <= d < self.n):
                 raise ValueError(f"edge ({s}, {d}) references unknown vertex")
-            if feats:
-                for key in feats:
-                    if not schema.has(key):
-                        raise ValueError(f"edge ({s}, {d}): unknown feature {key!r}")
-        self.edges = tuple((s, d, dict(f) if f else {}) for s, d, f in edges)
-
-    def vertex_id(self, name: str) -> int:
-        if name not in self._ids:
-            raise KeyError(f"no vertex named {name!r}")
-        return self._ids[name]
+            if problem := _feature_problem(schema, feats):
+                raise ValueError(f"edge ({s}, {d}): {problem}")
 
 
 def convert_multigraph(mg: MultiGraph) -> DirectedGraph:
@@ -378,64 +374,57 @@ def convert_multigraph(mg: MultiGraph) -> DirectedGraph:
     parallel edges or name clashes require it. Original vertices keep their
     ids, so source/target sets stated on the multigraph stay valid.
     """
-    names = list(mg.names)
-    taken = set(names)
-    rows = [list(r) for r in mg.rows]
+    names = dict.fromkeys(mg.names)  # an ordered set of the names taken
+    rows = list(mg.rows)
     simple_edges: list[tuple[int, int]] = []
-    width = len(mg.schema)
     for s, d, feats in mg.edges:
         base = f"{mg.names[s]}->{mg.names[d]}"
         name = base
         k = 1
-        while name in taken:
+        while name in names:
             k += 1
             name = f"{base}#{k}"
-        taken.add(name)
         mid = len(names)
-        names.append(name)
-        row = [None] * width
-        for key, value in feats.items():
-            row[mg.schema.index(key)] = value
-        rows.append(row)
+        names[name] = None
+        rows.append(tuple(feats.get(dim.name) for dim in mg.schema))
         simple_edges.append((s, mid))
         simple_edges.append((mid, d))
-    return DirectedGraph(mg.schema, names, rows, simple_edges, color_dim=mg.color_dim)
+    return DirectedGraph(mg.schema, list(names), rows, simple_edges, color_dim=mg.color_dim)
 
 
 # -- set-level operators ----------------------------------------------------
 
 
+def _walk(g: DirectedGraph, vs: VertexSet, k: int, image) -> VertexSet:
+    """The set ``k`` applications of ``image`` take ``vs`` to."""
+    if k < 0:
+        raise ValueError("step count must be non-negative")
+    g.check_universe(vs)
+    mask = vs.mask
+    for _ in range(k):
+        if not mask:
+            break
+        mask = image(mask)
+    return VertexSet(g.n, mask)
+
+
 def out_neighbors(g: DirectedGraph, vs: VertexSet) -> VertexSet:
     """Vertices reachable from ``vs`` by exactly one edge."""
-    return VertexSet(g.n, g.out_image(vs.mask))
+    return _walk(g, vs, 1, g.out_image)
 
 
 def in_neighbors(g: DirectedGraph, vs: VertexSet) -> VertexSet:
     """Vertices with at least one edge into ``vs``."""
-    return VertexSet(g.n, g.in_image(vs.mask))
+    return _walk(g, vs, 1, g.in_image)
 
 
 def iterated_out(g: DirectedGraph, vs: VertexSet, k: int) -> VertexSet:
     """Vertices reachable from ``vs`` by walks of exactly ``k`` edges."""
-    if k < 0:
-        raise ValueError("step count must be non-negative")
-    mask = vs.mask
-    for _ in range(k):
-        if not mask:
-            break
-        mask = g.out_image(mask)
-    return VertexSet(g.n, mask)
+    return _walk(g, vs, k, g.out_image)
 
 
 def iterated_in(g: DirectedGraph, vs: VertexSet, k: int) -> VertexSet:
-    if k < 0:
-        raise ValueError("step count must be non-negative")
-    mask = vs.mask
-    for _ in range(k):
-        if not mask:
-            break
-        mask = g.in_image(mask)
-    return VertexSet(g.n, mask)
+    return _walk(g, vs, k, g.in_image)
 
 
 def select_by_color(g: DirectedGraph, vs: VertexSet, color: str) -> VertexSet:
@@ -452,6 +441,7 @@ def reachability_levels(g: DirectedGraph, source: VertexSet, target: VertexSet, 
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    g.check_universe(source, target)
     levels = []
     mask = source.mask
     for level in range(max_len + 1):

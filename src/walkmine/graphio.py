@@ -14,7 +14,7 @@ from .graph import (
     DirectedGraph,
     FeatureSchema,
     MultiGraph,
-    _bad_value,
+    _feature_problem,
 )
 
 Graph = Union[DirectedGraph, MultiGraph]
@@ -56,16 +56,6 @@ def _load_schema(raw, location) -> FeatureSchema:
         _fail(location, str(e))
 
 
-def _check_features(raw, schema: FeatureSchema, location):
-    if not isinstance(raw, dict):
-        _fail(location, "'features' must be an object")
-    for name, value in raw.items():
-        if not schema.has(name):
-            _fail(location, f"unknown feature {name!r}")
-        if problem := _bad_value(schema.kind_of(schema.index(name)), value):
-            _fail(location, f"feature {name!r}: {problem}")
-
-
 def _check_entries(schema: FeatureSchema, raw_vertices: list, raw_edges: list):
     """Check a document's entries one by one, raising at the first offence."""
     ids = set()
@@ -76,14 +66,15 @@ def _check_entries(schema: FeatureSchema, raw_vertices: list, raw_edges: list):
             _fail(where, f"duplicate vertex id {name!r}")
         ids.add(name)
         if entry.get("features") is not None:  # null: every feature missing
-            _check_features(entry["features"], schema, where)
+            if problem := _feature_problem(schema, entry["features"]):
+                _fail(where, problem)
     for i, entry in enumerate(raw_edges):
         where = f"edges[{i}]"
         for endpoint in (_require(entry, "src", str, where), _require(entry, "dst", str, where)):
             if endpoint not in ids:
                 _fail(where, f"unknown vertex {endpoint!r}")
-        if "features" in entry:
-            _check_features(entry["features"], schema, where)
+        if "features" in entry and (problem := _feature_problem(schema, entry["features"])):
+            _fail(where, problem)
 
 
 def _read_entries(schema: FeatureSchema, raw_vertices: list, raw_edges: list):
@@ -132,23 +123,23 @@ def load_graph(text: Union[str, bytes], color_dim: str = "color") -> Graph:
     raw_vertices = _require(doc, "vertices", list, "document")
     raw_edges = _require(doc, "edges", list, "document")
 
-    # A simple graph's entries and values are read once, on the way to the
-    # graph; a document that fails somewhere is read again, entry by entry,
-    # to name its first offence.
+    # A document's entries and values are read once, on the way to the graph;
+    # a document that fails somewhere is read again, entry by entry, to name
+    # its first offence.
     try:
         names, rows, src, dst = _read_entries(schema, raw_vertices, raw_edges)
         if not any("features" in entry for entry in raw_edges):
             g = DirectedGraph(schema, names, rows, zip(src, dst), color_dim=color_dim)
             if g.num_edges == len(raw_edges):  # no parallel edges were merged
                 return g
+        # edge features or parallel edges: a multigraph
+        feats = [entry.get("features", {}) for entry in raw_edges]
+        if not set(map(type, feats)) <= {dict}:
+            raise TypeError("'features' must be an object")
+        return MultiGraph(schema, names, rows, zip(src, dst, feats), color_dim=color_dim)
     except (KeyError, TypeError, ValueError):
         _check_entries(schema, raw_vertices, raw_edges)
         raise
-    # edge features or parallel edges: a multigraph, whose edge features only
-    # the entry-by-entry read checks
-    _check_entries(schema, raw_vertices, raw_edges)
-    edges = [(s, d, entry.get("features") or {}) for s, d, entry in zip(src, dst, raw_edges)]
-    return MultiGraph(schema, names, rows, edges, color_dim=color_dim)
 
 
 def serialize_graph(g: Graph) -> str:

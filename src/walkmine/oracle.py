@@ -39,6 +39,7 @@ def brute_force_mine_scp(
 
 def count_walks(g: DirectedGraph, source: VertexSet, target: VertexSet, length: int) -> int:
     """Number of length-``length`` walks from the source set into the target."""
+    g.check_universe(source, target)
     ways = {v: 1 for v in source}
     for _ in range(length):
         nxt: dict[int, int] = {}

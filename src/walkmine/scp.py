@@ -29,8 +29,6 @@ from .setcover import minimal_covers
 INFEASIBLE = "infeasible"
 COMPLETE_HALT = "complete_halt"
 
-# the searches repaired mining races, in the order they take their turns
-SEARCHES = ("forward", "backward")
 _FORWARD_STATS = ("sets_expanded",)
 
 
@@ -173,7 +171,7 @@ def _mine_scp(g, source, target, config, mode) -> Iterator[MiningReport]:
 
 
 def _scp_searches(g, S: int, T: int, mode):
-    """The repaired colour searches, named by :data:`SEARCHES` in the order
+    """The repaired colour searches, [forward, backward], in the order
     :func:`walkmine.mining.run_levels` races them."""
 
     def alike(B):
@@ -187,11 +185,10 @@ def _scp_searches(g, S: int, T: int, mode):
         return (_mono_color(g, state[1]),) + state[0]
 
     K = [T]  # K[r]: the vertices with a walk of r steps into T
-    searches = {
-        "forward": lambda *args: _forward_search(g, S, K, mode, *args),
-        "backward": backward_search(g, "scp", (), T, mode, alike, split, label),
-    }
-    return [searches[name] for name in SEARCHES]
+    return [
+        lambda *args: _forward_search(g, S, K, mode, *args),
+        backward_search(g, "scp", (), T, mode, alike, split, label),
+    ]
 
 
 def _forward_search(g, S: int, K: list, mode, length, positions, budget, found, stats):

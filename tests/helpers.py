@@ -6,6 +6,7 @@ from walkmine import scp
 from walkmine.bitset import VertexSet
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
 from walkmine.graphio import load_graph, parse_vertex_set
+from walkmine.mining import run_levels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,15 +50,18 @@ def mine_all(miner, g, src, tgt, config) -> dict:
     return {rep.length: rep for rep in miner(g, src, tgt, config)}
 
 
+# the names of the repaired colour searches, in the order scp._scp_searches lists them
+SEARCHES = ("forward", "backward")
+
+
 def scp_miner(mode: str, searches: tuple):
-    """A colour miner that races only the named searches of :data:`scp.SEARCHES`."""
+    """A colour miner that races only the named searches of :data:`SEARCHES`."""
+
+    def make_searches(g, S, T, mode):
+        return [s for name, s in zip(SEARCHES, scp._scp_searches(g, S, T, mode)) if name in searches]
 
     def miner(g, source, target, config):
-        saved, scp.SEARCHES = scp.SEARCHES, searches
-        try:
-            yield from scp._mine_scp(g, source, target, config, mode)
-        finally:
-            scp.SEARCHES = saved
+        return run_levels(g, source, target, config, "scp", mode, (), make_searches, scp._FORWARD_STATS)
 
     return miner
 

@@ -25,6 +25,7 @@ from walkmine.graph import (
 )
 from walkmine.graphio import load_graph, serialize_graph
 from walkmine.mining import MiningConfig
+from walkmine.oracle import count_walks, walk_traces
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp, simulate_scp
 from walkmine.stp import classify_stp, consistent, select_by_criterion, simulate_stp
 
@@ -265,6 +266,40 @@ def test_multigraph_feature_validation():
         MultiGraph(schema, ["u", "v"], [("r",), ("g",)], [(0, 1, {"nope": 1})])
 
 
+BAD_TABLES = {
+    "short row": ([("red", 1), ("red",)], "vertex 'v1': row width differs from schema"),
+    "long row": ([("red", 1, 5), ("red", 2)], "vertex 'v0': row width differs from schema"),
+    "mistyped value": (
+        [("red", 1), ("red", "x")], "vertex 'v1', dimension 'n': ordered dimension needs a number, got 'x'"
+    ),
+    "missing row": ([("red", 1)], "one feature row per vertex required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_multigraph_checks_rows_as_the_simple_graph_does(case):
+    schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
+    rows, message = BAD_TABLES[case]
+    for make in (DirectedGraph, MultiGraph):
+        with pytest.raises(ValueError) as err:
+            make(schema, ["v0", "v1"], rows, [])
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("feats,problem", [
+    ({"n": float("nan")}, "feature 'n': non-finite number nan"),
+    ({"n": True}, "feature 'n': ordered dimension needs a number, got True"),
+    ({"color": 5}, "feature 'color': categorical dimension needs a string, got 5"),
+    ({"nope": 1}, "unknown feature 'nope'"),
+])
+def test_multigraph_names_the_edge_of_a_bad_feature_value(feats, problem):
+    schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
+    edges = [(0, 1, {"n": 2.5}), (1, 0, None), (1, 0, feats)]
+    with pytest.raises(ValueError) as err:
+        MultiGraph(schema, ["u", "v"], [("red", 1), ("red", 2)], edges)
+    assert str(err.value) == f"edge (1, 0): {problem}"
+
+
 def test_convert_multigraph_subdivides():
     schema = FeatureSchema((Dimension("color", CATEGORICAL),))
     mg = MultiGraph(
@@ -348,6 +383,15 @@ FOREIGN_CALLS = {
     "consistent": lambda g, X: consistent(g, X, g.vertex_set(), g.vertex_set()),
     "consistent sides": lambda g, X: consistent(g, g.full_set(), X, VertexSet(X.size)),
     "mine_exact_scp": lambda g, X: list(mine_exact_scp(g, X, g.full_set(), MiningConfig(max_len=1))),
+    "out_neighbors": out_neighbors,
+    "in_neighbors": in_neighbors,
+    "iterated_out": lambda g, X: iterated_out(g, X, 2),
+    "iterated_in": lambda g, X: iterated_in(g, X, 2),
+    "reachability_levels": lambda g, X: reachability_levels(g, X, g.full_set(), 2),
+    "reachability_levels target": lambda g, X: reachability_levels(g, g.full_set(), X, 2),
+    "count_walks": lambda g, X: count_walks(g, X, g.full_set(), 1),
+    "count_walks target": lambda g, X: count_walks(g, g.full_set(), X, 1),
+    "walk_traces": lambda g, X: walk_traces(g, X, g.full_set(), 1),
 }
 
 

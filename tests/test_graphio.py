@@ -3,7 +3,8 @@ import json
 import pytest
 
 from helpers import color_graph, vs
-from walkmine.graph import DirectedGraph, MultiGraph
+from walkmine import graphio
+from walkmine.graph import CATEGORICAL, ORDERED, Dimension, DirectedGraph, FeatureSchema, MultiGraph
 from walkmine.graphio import (
     GraphFormatError,
     load_graph,
@@ -71,6 +72,30 @@ def test_multigraph_roundtrip():
     assert again.edges == mg.edges
 
 
+def test_constructed_multigraph_roundtrip():
+    schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
+    edges = [(0, 1, {"n": 2.5}), (0, 1, None), (1, 2, {"color": "red", "n": -1}), (2, 2, {})]
+    mg = MultiGraph(schema, ["u", "v", "w"], [("red", 1), (None, 0.5), ("blue", None)], edges)
+    again = load_graph(serialize_graph(mg))
+    assert isinstance(again, MultiGraph)
+    assert (again.schema, again.names, again.rows, again.edges) == (mg.schema, mg.names, mg.rows, mg.edges)
+    assert serialize_graph(again) == serialize_graph(mg)
+
+
+@pytest.mark.parametrize("edges", [
+    [{"src": "u", "dst": "v", "features": {"n": 3}}, {"src": "v", "dst": "w", "features": {}}],
+    [{"src": "u", "dst": "v"}, {"src": "u", "dst": "v"}],
+])
+def test_good_multigraph_document_is_read_once(monkeypatch, edges):
+    def refuse(*args):
+        raise AssertionError("a good document is read entry by entry")
+
+    monkeypatch.setattr(graphio, "_check_entries", refuse)
+    mg = load_graph(json.dumps(dict(DOC, edges=edges)))
+    assert isinstance(mg, MultiGraph) and len(mg.edges) == 2
+    assert mg.rows == (("red", 1), ("green", None), (None, None))
+
+
 @pytest.mark.parametrize(
     "mangle,location",
     [
@@ -89,11 +114,15 @@ def test_multigraph_roundtrip():
     ],
 )
 def test_error_locations(mangle, location):
-    doc = json.loads(json.dumps(DOC))
-    mangle(doc)
-    with pytest.raises(GraphFormatError) as err:
-        load_graph(json.dumps(doc))
-    assert err.value.location == location
+    # the same fault in a document that loads as a simple graph and in one
+    # that loads as a multigraph
+    for edge_features in ({}, {"features": {"n": 2}}):
+        doc = json.loads(json.dumps(DOC))
+        doc["edges"][0].update(edge_features)
+        mangle(doc)
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(json.dumps(doc))
+        assert err.value.location == location
 
 
 def _large_doc():
@@ -121,6 +150,9 @@ LATE_FAULTS = {
     "non-string dst": ("edges", lambda d, i: d["edges"][i].update(dst=7)),
     "edge not an object": ("edges", lambda d, i: d["edges"].__setitem__(i, ["u", "v"])),
     "null edge features": ("edges", lambda d, i: d["edges"][i].update(features=None)),
+    "non-finite edge feature": ("edges", lambda d, i: d["edges"][i].update(features={"n": "INF"})),
+    "bool edge feature": ("edges", lambda d, i: d["edges"][i].update(features={"n": True})),
+    "numeric edge colour": ("edges", lambda d, i: d["edges"][i].update(features={"color": 5})),
     "duplicate vertex id": ("vertices", lambda d, i: (_rename(d, i - 1, "dup"), _rename(d, i, "dup"))),
     "non-finite value": ("vertices", lambda d, i: d["vertices"][i].update(features={"n": "INF"})),
     "bool value": ("vertices", lambda d, i: d["vertices"][i].update(features={"n": True})),
