@@ -10,11 +10,12 @@ with their ``stats`` dropped. Two commits whose digests match gave
 byte-identical reports on the corpus; the group lines show which reports a
 change moved. Two groups outside the total follow. The verify group
 classifies and simulates a fixed seeded batch of random criterion programs on
-every instance with ``extra_dims`` above 0, one JSON line each. The
-edge-array pair covers the graphs' numpy edge-array path, which no corpus
-graph is large enough to take: the seeds 1000-1029 slice is mined again on
+every instance with ``extra_dims`` above 0, one JSON line each, with the
+stranded vertex ids of every partial halt. The edge-array pair covers the
+graphs' numpy edge-array path, which no corpus graph is large enough to take:
+the seeds 1000-1029 slice, its verify lines and its reports, is run again on
 graphs built with ``graph._DENSE_LIMIT`` patched to 0, and its digest must
-equal that of the same slice's reports on the int-mask path.
+equal that of the same slice on the int-mask path.
 Run it from a checkout with the package on the path:
 
     PYTHONPATH=src python3 scripts/report_digest.py [--dump FILE]
@@ -78,12 +79,14 @@ def random_programs(g, seed: int) -> list:
 
 
 def verify_lines(seed, extra_dims, g, S, T):
-    """One JSON line per random program: its verdict and its simulated trace."""
+    """One JSON line per random program: its verdict, with the stranded
+    vertices of each partial halt, and its simulated trace."""
     for i, program in enumerate(random_programs(g, seed * 10 + extra_dims)):
         verdict = classify_stp(g, S, T, program)
+        stranded = [list(level) for level in verdict.partial_halt_vertices]
         trace = [list(level) for level in simulate_stp(g, S, program)]
         yield json.dumps([[seed, extra_dims, i], program.to_dict(g), verdict.kind, verdict.halt_step,
-                          list(verdict.partial_halt_steps), trace])
+                          list(verdict.partial_halt_steps), stranded, trace])
 
 
 def instance(seed, extra_dims, edge_arrays=False):
@@ -115,10 +118,10 @@ def stream():
         for extra_dims in (0, 1, 2):
             inst = instance(seed, extra_dims)
             g, S, T = inst.graph, inst.source, inst.target
+            sliced = [EDGE_MASKS] if seed in EDGE_SEEDS else []
             if extra_dims:
                 for line in verify_lines(seed, extra_dims, g, S, T):
-                    yield [VERIFY], line
-            sliced = [EDGE_MASKS] if seed in EDGE_SEEDS else []
+                    yield [VERIFY, *sliced], line
             for engine, head, doc in report_lines(seed, extra_dims, g, S, T):
                 yield ["total", f"{engine} {head[2]}", *sliced], json.dumps([head, doc])
                 if head[2:] == ["repaired", None]:
@@ -126,7 +129,11 @@ def stream():
                     yield [STATS_FREE[engine]], json.dumps([head, doc])
             if sliced:
                 inst = instance(seed, extra_dims, edge_arrays=True)
-                for _, head, doc in report_lines(seed, extra_dims, inst.graph, inst.source, inst.target):
+                g, S, T = inst.graph, inst.source, inst.target
+                if extra_dims:
+                    for line in verify_lines(seed, extra_dims, g, S, T):
+                        yield [EDGE_ARRAYS], line
+                for _, head, doc in report_lines(seed, extra_dims, g, S, T):
                     yield [EDGE_ARRAYS], json.dumps([head, doc])
 
 

@@ -16,7 +16,7 @@ reproduces an uncorrected variant of the backward search kept for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import literal
 from .bitset import VertexSet, iter_bits
@@ -67,28 +67,32 @@ def simulate_scp(g: DirectedGraph, source: VertexSet, program: tuple[int, ...]) 
     return trace
 
 
-def classify_trace(g: DirectedGraph, trace: list[VertexSet], target: VertexSet) -> Classification:
-    """Classification core shared by colour and criterion programs.
+def classify_run(g: DirectedGraph, source: VertexSet, target: VertexSet, keeps: Iterable[int]) -> Classification:
+    """Run a program from ``source`` and classify its endpoints against ``target``.
 
-    ``trace`` is the endpoint trace E0..En of a run. Step i halts partially
-    when some vertex of E_i has no out-neighbour the step keeps; the step
-    keeps part of E_i's out-image, so the kept vertices are E_{i+1}.
+    The classification core shared by colour and criterion programs:
+    ``keeps`` holds each step's mask of the vertices it keeps. Step i moves
+    E_i to the kept part of its out-image, E_{i+1}, and halts partially when
+    some vertex of E_i has no out-neighbour the step keeps; one
+    :meth:`DirectedGraph.step` gives both.
     """
-    g.check_universe(target)
-    masks = [vs.mask for vs in trace]
-    partial, stranded = [], []
-    for i in range(len(masks) - 1):
-        stuck = masks[i] & ~g.in_image(masks[i + 1])
+    g.check_universe(source, target)
+    trace, partial, stranded = [source], [], []
+    halt = None
+    cur = source.mask
+    for i, keep in enumerate(keeps):
+        cur, stuck = g.step(cur, keep)
         if stuck:
             partial.append(i)
             stranded.append(stuck)
-    halt = next((i for i in range(1, len(masks)) if not masks[i]), None)
-    final = masks[-1]
+        if not cur and halt is None:
+            halt = i + 1
+        trace.append(VertexSet(g.n, cur))
     if halt is not None:
         kind = COMPLETE_HALT
-    elif final == target.mask:
+    elif cur == target.mask:
         kind = EXACT
-    elif final & ~target.mask == 0:
+    elif cur & ~target.mask == 0:
         kind = FEASIBLE
     else:
         kind = INFEASIBLE
@@ -98,7 +102,7 @@ def classify_trace(g: DirectedGraph, trace: list[VertexSet], target: VertexSet) 
 def classify_scp(
     g: DirectedGraph, source: VertexSet, target: VertexSet, program: tuple[int, ...]
 ) -> Classification:
-    return classify_trace(g, simulate_scp(g, source, program), target)
+    return classify_run(g, source, target, map(g.color_mask, program))
 
 
 # -- predicate algebra --------------------------------------------------------

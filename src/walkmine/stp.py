@@ -21,7 +21,7 @@ from .bitset import VertexSet
 from .criterion import Criterion, TosetProgram, criterion_mask, criterion_memo
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels
-from .scp import Classification, classify_trace
+from .scp import Classification, classify_run
 # unused here, but bench/test_reference.py reads stp.minimal_covers
 from .setcover import minimal_covers
 
@@ -44,7 +44,8 @@ def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet
 
 
 def classify_stp(g: DirectedGraph, source: VertexSet, target: VertexSet, program) -> Classification:
-    return classify_trace(g, simulate_stp(g, source, program), target)
+    keeps = (criterion_mask(g, crit) for crit in getattr(program, "steps", program))
+    return classify_run(g, source, target, keeps)
 
 
 def consistent(g: DirectedGraph, A: VertexSet, b_side: VertexSet, e_side: VertexSet) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURES
+import walkmine.cli as cli
 from walkmine import DirectedGraph, load_graph
 from walkmine.cli import main
 
@@ -359,3 +361,28 @@ def test_installed_entrypoint():
     )
     assert proc.returncode == 0
     assert "kind: exact" in proc.stdout
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_graph_load_restores_the_collector(capsys, tmp_path, monkeypatch, was_enabled):
+    seen = []
+
+    def load(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return load_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_graph", load)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": [], "vertices": [{"id": 1}], "edges": []}', encoding="utf-8")
+    enabled = gc.isenabled()
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        codes, after = [], []
+        for path in (FUNNEL, str(bad)):
+            codes.append(run(capsys, "convert", "--graph", path)[0])
+            after.append(gc.isenabled())
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert codes == [0, 2]  # the bad document exits through GraphFormatError
+    assert seen == [False, False]  # paused while each document loads
+    assert after == [was_enabled, was_enabled]

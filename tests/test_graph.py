@@ -185,6 +185,46 @@ def _on_both_layouts(monkeypatch, build):
     return masks, arrays
 
 
+def test_step_is_the_kept_image_and_the_stranded_vertices(monkeypatch):
+    rng = random.Random(21)
+    n = 45  # not a multiple of 8
+    pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(120)}
+    pairs = {(s, d) for s, d in pairs if s not in (0, 9)}  # sinks 0 and 9
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    build = lambda: DirectedGraph(schema, [f"v{i}" for i in range(n)], [("x",)] * n, pairs)
+    full = (1 << n) - 1
+    probes = [0, full, 1 << 0 | 1 << 9] + [rng.getrandbits(n) for _ in range(30)]
+    keeps = [0, full] + [rng.getrandbits(n) for _ in range(10)]
+    for g in _on_both_layouts(monkeypatch, build):
+        assert g.out_mask(0) == g.out_mask(9) == 0
+        for mask in probes:
+            for keep in keeps:
+                kept = g.out_image(mask) & keep
+                assert g.step(mask, keep) == (kept, mask & ~g.in_image(kept))
+            # a sink is stranded whatever the step keeps; an empty keep strands all
+            assert g.step(mask, full)[1] & (1 << 0 | 1 << 9) == mask & (1 << 0 | 1 << 9)
+            assert g.step(mask, 0) == (0, mask)
+        assert g.step(0, full) == (0, 0)
+
+
+def test_color_masks_match_a_per_vertex_definition(monkeypatch):
+    rng = random.Random(8)
+    n = 61  # not a multiple of 8
+    colours = [rng.choice(["red", "blue", "green", None]) for _ in range(n)]
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(80)]
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    build = lambda: DirectedGraph(schema, [f"v{i}" for i in range(n)], [(c,) for c in colours], pairs)
+    for g in _on_both_layouts(monkeypatch, build):
+        assert sorted(g.color_names) == ["blue", "green", "red"]
+        for name in g.color_names:
+            cid = g.color_id(name)
+            assert g.color_mask(cid) == mask_of(v for v in range(n) if colours[v] == name)
+            assert all(g.color_of(v) == cid for v in iter_bits(g.color_mask(cid)))
+        uncoloured = mask_of(v for v in range(n) if colours[v] is None)
+        assert uncoloured and all(g.color_of(v) == -1 for v in iter_bits(uncoloured))
+        assert sum(map(g.color_mask, range(g.num_colors))) == ((1 << n) - 1) & ~uncoloured
+
+
 def test_both_layouts_build_the_same_graph(monkeypatch):
     rng = random.Random(5)
     n = 40

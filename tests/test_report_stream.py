@@ -84,8 +84,8 @@ def test_mining_never_simulates(monkeypatch):
     def refuse(*args):
         raise AssertionError("a mining path ran a program")
 
-    for module, name in ((scp, "classify_scp"), (scp, "simulate_scp"), (scp, "classify_trace"),
-                         (stp, "classify_stp"), (stp, "simulate_stp"), (stp, "classify_trace")):
+    for module, name in ((scp, "classify_scp"), (scp, "simulate_scp"), (scp, "classify_run"),
+                         (stp, "classify_stp"), (stp, "simulate_stp"), (stp, "classify_run")):
         monkeypatch.setattr(module, name, refuse)
     backward = ("repaired", 4, (scp_miner("exact", ("backward",)), scp_miner("feasible", ("backward",))))
     for runs in (UNCAPPED_RUNS, (backward, STP_RUNS[0])):
