@@ -183,23 +183,23 @@ def _print_classification(g, cls, program, output: str):
         print(f"  E{i}: {' '.join(_names(g, level)) or '-'}")
 
 
+# engine -> (program parser, classify, simulate)
+_ENGINES = {"scp": (_parse_scp_program, classify_scp, simulate_scp),
+            "stp": (_parse_stp_program, classify_stp, simulate_stp)}
+
+
 def _cmd_verify(args) -> int:
     g = _load_simple_graph(args)
     source = _vertex_set(g, args.source, args.source_ids, "source")
     target = _vertex_set(g, args.target, args.target_ids, "target")
-    text = _program_text(args.program)
-    if args.engine == "stp":
-        program = _parse_stp_program(g, text)
-        cls = classify_stp(g, source, target, program)
-    else:
-        program = _parse_scp_program(g, text)
-        cls = classify_scp(g, source, target, program)
+    parse, classify, _ = _ENGINES[args.engine]
+    program = parse(g, _program_text(args.program))
+    cls = classify(g, source, target, program)
     _print_classification(g, cls, program, args.output)
     if args.expect is None:
         return 0
-    if args.expect == "feasible":
-        return 0 if cls.kind in ("feasible", "exact") else 1
-    return 0 if cls.kind == args.expect else 1
+    ok = cls.succeeded if args.expect == "feasible" else cls.kind == args.expect
+    return 0 if ok else 1
 
 
 def _cmd_simulate(args) -> int:
@@ -208,13 +208,9 @@ def _cmd_simulate(args) -> int:
     target = None
     if args.target is not None or args.target_ids is not None:
         target = _vertex_set(g, args.target, args.target_ids, "target")
-    text = _program_text(args.program)
-    if args.engine == "stp":
-        program = _parse_stp_program(g, text)
-        trace = simulate_stp(g, source, program)
-    else:
-        program = _parse_scp_program(g, text)
-        trace = simulate_scp(g, source, program)
+    parse, _, simulate = _ENGINES[args.engine]
+    program = parse(g, _program_text(args.program))
+    trace = simulate(g, source, program)
     if args.output == "dot":
         sys.stdout.write(to_dot(g, source=source, target=target, trace=trace))
     elif args.output == "json":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, Union
 
 from .bitset import iter_bits, mask_of
@@ -161,20 +161,14 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
                 for v in values[d]:
                     if v in seen:
                         yield d, "=", v
-            if None in seen:
-                yield d, "=", None
+                if None in seen:
+                    yield d, "=", None
 
     def complement(atom: Atom) -> Criterion:
         d = atom.dim
         if atom.op == "<=":
             return AnyOf((Atom(d, ">", atom.value), Atom(d, "=", None)))
-        if atom.value is None:
-            if schema.kind_of(d) == ORDERED:
-                return Atom(d, "<=", max(values[d]))
-            return AnyOf(tuple(Atom(d, "=", v) for v in values[d]))
-        items = [Atom(d, "=", v) for v in values[d] if v != atom.value]
-        items.append(Atom(d, "=", None))
-        return AnyOf(tuple(items))
+        return AnyOf(tuple(Atom(d, "=", v) for v in values[d] + [None] if v != atom.value))
 
     paths: list[list] = []
     point_masks: dict = {}  # atom key -> mask of the points satisfying it
@@ -212,15 +206,8 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
     grow((1 << len(vecs)) - 1, [])
     if paths == [[]]:
         # every point is a B point: pin down the B vectors exactly
-        disjuncts = []
-        for vec, label in points.items():
-            if label == 1:
-                atoms = tuple(Atom(d, "=", vec[d]) for d in range(width))
-                disjuncts.append(atoms[0] if len(atoms) == 1 else AllOf(atoms))
-        return disjuncts[0] if len(disjuncts) == 1 else AnyOf(tuple(disjuncts))
-    clauses = []
-    for path in paths:
-        clauses.append(path[0] if len(path) == 1 else AllOf(tuple(path)))
+        paths = [[Atom(d, "=", vec[d]) for d in range(width)] for vec in vecs]
+    clauses = [path[0] if len(path) == 1 else AllOf(tuple(path)) for path in paths]
     return clauses[0] if len(clauses) == 1 else AnyOf(tuple(clauses))
 
 
@@ -231,16 +218,13 @@ def criterion_memo(g: DirectedGraph):
     distinct (B, M, E) triple is synthesised once and its result kept for as
     long as ``step`` lives, so a search makes one memo per mining run.
     """
-    memo: dict = {}
 
+    @cache
     def step(B: int, M: int, E: int):
-        key = (B, M, E)
-        if key not in memo:
-            try:
-                memo[key] = compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
-            except InseparableError:
-                memo[key] = None
-        return memo[key]
+        try:
+            return compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
+        except InseparableError:
+            return None
 
     return step
 

@@ -107,9 +107,6 @@ def random_instance(
             cur = image & g.color_mask(rng.choice(present))
             planted += 1
         target = VertexSet(n, cur)
-    if not target:
-        target = source
-        planted = 0
     meta = {
         "seed": seed,
         "vertices": n,

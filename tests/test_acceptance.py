@@ -4,6 +4,7 @@ Each test prints a single [PASS]/[FAIL] line naming the property and the
 numbers behind it, then asserts. Thresholds are pinned inline.
 """
 
+import json
 import random
 import time
 
@@ -13,6 +14,7 @@ from helpers import mine_all, name_program
 from walkmine import (
     Atom,
     Dimension,
+    DirectedGraph,
     FeatureSchema,
     InseparableError,
     MiningConfig,
@@ -39,7 +41,7 @@ from walkmine import (
 )
 from walkmine.generate import layered_graph, random_instance
 from walkmine.graph import CATEGORICAL, ORDERED
-from walkmine.mining import LITERAL
+from walkmine.mining import LITERAL, REPAIRED, render_program
 
 CORPUS_SIZE = 200
 MAX_LEN = 4
@@ -362,4 +364,94 @@ def test_reconstructed_walkthrough_fixtures(fourstep, threestep, twofeature, ann
         not problems,
         "four-step exact + detour superset, two feasible three-step routes, "
         f"two-feature exact + superset all verified by classification; problems: {problems or 'none'}",
+    )
+
+
+# the relabelling corpus: (seed, extra_dims) pairs; criterion miners run on
+# the instances with extra dimensions only
+RELABEL_CORPUS = [(seed, 0) for seed in range(200)] + [(seed, 2) for seed in range(1000, 1150)]
+RELABEL_MAX_LEN = 3
+
+
+def _relabelled(inst):
+    """The instance with vertex v renumbered perm[v]; names and rows follow their vertex."""
+    g, seed = inst.graph, inst.meta["seed"]
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    names, rows = [None] * g.n, [None] * g.n
+    for v in range(g.n):
+        names[perm[v]], rows[perm[v]] = g.names[v], g.rows[v]
+    h = DirectedGraph(g.schema, names, rows, [(perm[u], perm[v]) for u, v in g.edges()])
+
+    def moved(vs):
+        return VertexSet.from_ids(g.n, [perm[v] for v in vs])
+
+    return h, moved(inst.source), moved(inst.target)
+
+
+def _rendered_reports(miner, g, S, T, fidelity) -> list:
+    """Per length: the exhausted flag and the set of rendered programs."""
+    config = MiningConfig(max_len=RELABEL_MAX_LEN, fidelity=fidelity)
+    return [(rep.exhausted, {json.dumps(render_program(g, p)) for p in rep.programs})
+            for rep in miner(g, S, T, config)]
+
+
+def _verdicts(g, S, T, seed) -> list:
+    """Classify and simulate verdicts, by vertex name, of a seeded batch of colour programs."""
+    rng = random.Random(seed)
+    colors = sorted(g.color_names)
+    out = []
+    for _ in range(8):
+        program = tuple(g.color_id(rng.choice(colors)) for _ in range(rng.randint(0, RELABEL_MAX_LEN)))
+        cls = classify_scp(g, S, T, program)
+        by_name = [sorted(g.names[v] for v in level) for level in cls.trace]
+        stranded = [sorted(g.names[v] for v in stuck) for stuck in cls.partial_halt_vertices]
+        simulated = [sorted(g.names[v] for v in level) for level in simulate_scp(g, S, program)]
+        out.append((cls.kind, cls.halt_step, cls.partial_halt_steps, by_name, stranded, simulated))
+    return out
+
+
+def _relabelling_gap(miners, criterion_miners, with_verdicts) -> tuple:
+    """The number of report streams compared, and what differs between each corpus
+    instance and its relabelled copy."""
+    compared, moved = 0, []
+    for seed, extra_dims in RELABEL_CORPUS:
+        inst = random_instance(seed, extra_dims=extra_dims)
+        twin = _relabelled(inst)
+        for name, miner in miners + (criterion_miners if extra_dims else ()):
+            for fidelity in (REPAIRED, LITERAL):
+                compared += 1
+                ours = _rendered_reports(miner, inst.graph, inst.source, inst.target, fidelity)
+                theirs = _rendered_reports(miner, *twin, fidelity)
+                if ours != theirs:
+                    moved.append((seed, name, fidelity))
+        if with_verdicts and _verdicts(inst.graph, inst.source, inst.target, seed) != _verdicts(*twin, seed):
+            moved.append((seed, "verdicts"))
+    return compared, moved
+
+
+def test_relabelling_keeps_reports_and_verdicts(announce):
+    compared, moved = _relabelling_gap(
+        (("exact scp", mine_exact_scp), ("feasible scp", mine_feasible_scp)),
+        (("feasible stp", mine_feasible_stp),),
+        with_verdicts=True,
+    )
+    announce(
+        "relabelled vertices keep reports and verdicts",
+        not moved,
+        f"{len(RELABEL_CORPUS)} graphs, each against a seeded renumbering of its vertices; "
+        f"{compared} report streams (lengths 0..{RELABEL_MAX_LEN}, both fidelities, programs as sets) "
+        f"and {len(RELABEL_CORPUS)} batches of 8 colour-program verdicts, "
+        f"{len(moved)} differing (tolerance 0): {moved[:6]}",
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: compute_criterion breaks ties by vertex order")
+def test_relabelling_keeps_exact_criterion_reports(announce):
+    compared, moved = _relabelling_gap((), (("exact stp", mine_exact_stp),), with_verdicts=False)
+    announce(
+        "relabelled vertices keep exact criterion reports",
+        not moved,
+        f"{compared} report streams of the graphs with features "
+        f"(lengths 0..{RELABEL_MAX_LEN}, both fidelities), {len(moved)} differing (tolerance 0): {moved}",
     )

@@ -177,6 +177,17 @@ def test_verify_program_from_file(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_names_the_source_file_of_an_unknown_vertex(capsys, tmp_path):
+    path = tmp_path / "bad.source"
+    path.write_text("s1\nnowhere\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "verify", "--graph", FUNNEL, "--source", str(path),
+        "--target", FUNNEL_TARGET, "--program", "red",
+    )
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and "unknown vertex 'nowhere'" in err
+
+
 def test_simulate_text_and_json(capsys):
     args = (
         "simulate", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--program", "red",

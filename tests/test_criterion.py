@@ -102,6 +102,19 @@ def test_m_points_never_block_separation():
     check_contract(crit, [(1,)], [], [(5,)])
 
 
+def test_missing_ordered_values_split_by_threshold():
+    # "<= 1" cuts the missing value from the present one, so no "= None"
+    # split is needed; the B side is the threshold's complement
+    crit = compute_criterion([(None,)], [], [(1,)], N1)
+    assert crit == AnyOf((Atom(0, ">", 1), Atom(0, "=", None)))
+    check_contract(crit, [(None,)], [], [(1,)])
+
+
+def test_zero_dimension_schema_is_rejected():
+    with pytest.raises(ValueError, match="no dimensions"):
+        compute_criterion([()], [], [], FeatureSchema(()))
+
+
 def test_collision_raises_inseparable():
     with pytest.raises(InseparableError) as err:
         compute_criterion([(1, "x")], [], [(1, "x")], FeatureSchema(

@@ -306,6 +306,12 @@ def test_multigraph_feature_validation():
         MultiGraph(schema, ["u", "v"], [("r",), ("g",)], [(0, 1, {"nope": 1})])
 
 
+def test_multigraph_rejects_an_out_of_range_endpoint():
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) references unknown vertex$"):
+        MultiGraph(schema, ["u", "v"], [("r",), ("g",)], [(0, 2, {})])
+
+
 BAD_TABLES = {
     "short row": ([("red", 1), ("red",)], "vertex 'v1': row width differs from schema"),
     "long row": ([("red", 1, 5), ("red", 2)], "vertex 'v0': row width differs from schema"),

@@ -125,6 +125,16 @@ def test_error_locations(mangle, location):
         assert err.value.location == location
 
 
+def test_vertex_features_must_be_an_object():
+    # a document that fails on its one-pass read names the vertex on its second read
+    doc = json.loads(json.dumps(DOC))
+    doc["vertices"][1]["features"] = [1]
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(json.dumps(doc))
+    assert err.value.location == "vertices[1]"
+    assert "'features' must be an object" in str(err.value)
+
+
 def _large_doc():
     """DOC's schema on a ring of 4,200 vertices with chords, above the dense limit."""
     n = 4200
