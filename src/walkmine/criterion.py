@@ -41,6 +41,7 @@ class AllOf:
     items: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
         if not self.items:
             raise ValueError("empty conjunction")
 
@@ -50,6 +51,7 @@ class AnyOf:
     items: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
         if not self.items:
             raise ValueError("empty disjunction")
 
@@ -282,6 +284,9 @@ class TosetProgram:
     """A criterion program: one criterion per step."""
 
     steps: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)

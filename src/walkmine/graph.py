@@ -17,7 +17,7 @@ fused numpy kernel measured slower than the two together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -38,20 +38,22 @@ class Dimension(NamedTuple):
     kind: str
 
 
+@dataclass(slots=True)
 class FeatureSchema:
     """Ordered list of named feature dimensions shared by all vertices."""
 
-    __slots__ = ("dims", "_index")
+    dims: Sequence[Dimension]
+    _index: dict = field(init=False, repr=False, compare=False)
 
-    def __init__(self, dims: Sequence[Dimension]):
+    def __post_init__(self):
+        self.dims = tuple(self.dims)
         seen = set()
-        for d in dims:
+        for d in self.dims:
             if d.kind not in (CATEGORICAL, ORDERED):
                 raise ValueError(f"unknown dimension kind {d.kind!r}")
             if d.name in seen:
                 raise ValueError(f"duplicate dimension name {d.name!r}")
             seen.add(d.name)
-        self.dims = tuple(dims)
         self._index = {d.name: i for i, d in enumerate(self.dims)}
 
     def __len__(self) -> int:
@@ -59,11 +61,6 @@ class FeatureSchema:
 
     def __iter__(self):
         return iter(self.dims)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureSchema):
-            return NotImplemented
-        return self.dims == other.dims
 
     def index(self, name: str) -> int:
         if name not in self._index:

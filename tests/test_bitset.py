@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -43,6 +45,9 @@ def test_immutability():
     s = VertexSet(4, 0b1)
     with pytest.raises(AttributeError):
         s.mask = 3
+    with pytest.raises(AttributeError):
+        del s.mask
+    assert s == VertexSet(4, 0b1)
 
 
 def test_size_mismatch_rejected():
@@ -77,3 +82,17 @@ def test_hashable_and_usable_as_key():
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert a != VertexSet(7, 0b101)
+
+
+def test_copy_and_pickle_keep_the_set():
+    s = VertexSet.from_ids(5, [0, 3])
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s)
+        assert twin.ids() == (0, 3) and twin.size == 5
+
+
+def test_equality_and_repr():
+    s = VertexSet.from_ids(5, [0, 3])
+    assert s != {0, 3} and s != s.mask
+    assert repr(s) == "VertexSet({0, 3}, size=5)"
+    assert repr(VertexSet(3)) == "VertexSet({}, size=3)"

@@ -37,6 +37,31 @@ def test_boolean_nodes_must_be_nonempty():
         AllOf(())
     with pytest.raises(ValueError):
         AnyOf(())
+    with pytest.raises(ValueError):
+        AllOf(iter(()))
+    with pytest.raises(ValueError):
+        AnyOf(iter(()))
+
+
+def test_non_criteria_are_rejected():
+    g = random_instance(3, extra_dims=1).graph
+    for call in (
+        lambda: satisfies(("red",), "color = red"),
+        lambda: criterion_mask(g, ("color", "=", "red")),
+        lambda: criterion_to_dict(None, CN),
+    ):
+        with pytest.raises(TypeError, match="not a criterion"):
+            call()
+
+
+def test_boolean_nodes_built_from_generators_keep_their_items():
+    g = random_instance(3, extra_dims=1).graph
+    atoms = [Atom(d, "=", g.rows[0][d]) for d in range(len(g.schema))]
+    for node in (AllOf, AnyOf):
+        want = criterion_mask(g, node(tuple(atoms)))
+        crit = node(a for a in atoms)
+        assert crit == node(tuple(atoms))
+        assert [criterion_mask(g, crit) for _ in range(2)] == [want, want]
 
 
 def test_satisfies_order_and_equality():
@@ -228,6 +253,7 @@ def test_serialization_roundtrip():
         {"atom": {"f": "n", "op": "=", "v": float("-inf")}},
         {"atom": {"f": ["color"], "op": "=", "v": "red"}},
         {"atom": {"f": {"color": 1}, "op": "=", "v": "red"}},
+        {"foo": 1},
     ],
 )
 def test_from_dict_rejects_malformed(doc):

@@ -49,6 +49,14 @@ def test_schema_validation():
         s.index("z")
 
 
+def test_schema_from_an_iterator_compares_by_its_dimensions():
+    dims = (Dimension("color", CATEGORICAL), Dimension("n", ORDERED))
+    s = FeatureSchema(iter(dims))
+    assert s.dims == dims and len(s) == 2 and s.index("n") == 1
+    assert s == FeatureSchema(dims) and s != FeatureSchema(dims[:1])
+    assert s != "color"
+
+
 def test_row_validation():
     schema = FeatureSchema((Dimension("n", ORDERED),))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -45,6 +46,12 @@ def test_classify_exact():
     assert cls.halt_step is None
     assert cls.partial_halt_steps == ()
     assert cls.trace[-1] == vs(g, "t")
+
+
+def test_verdict_survives_pickling():
+    g = funnel_graph()
+    cls = classify_scp(g, vs(g, "s1", "s2"), vs(g, "t", "c"), name_program(g, "red", "green"))
+    assert pickle.loads(pickle.dumps(cls)) == cls
 
 
 def test_classify_feasible_strict_subset():

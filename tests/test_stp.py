@@ -90,6 +90,18 @@ def test_classify_kinds():
     assert classify_stp(g, S, T, (Atom(0, "=", "green"),)).kind == "complete_halt"
 
 
+def test_program_built_from_a_generator_keeps_its_steps():
+    g = two_dim_graph()
+    S, T = vs(g, "s"), vs(g, "t1")
+    steps = (Atom(0, "=", "red"), Atom(0, "=", "blue"))
+    p = TosetProgram(c for c in steps)
+    assert p == TosetProgram(steps) and hash(p) == hash(TosetProgram(steps))
+    for _ in range(2):
+        cls = classify_stp(g, S, T, p)
+        assert cls.kind == "complete_halt" and len(cls.trace) == 3
+        assert simulate_stp(g, S, p) == list(cls.trace)
+
+
 def test_classify_feasible_subset():
     g = two_dim_graph()
     S, T = vs(g, "s"), vs(g, "t1", "t2")
