@@ -1,11 +1,15 @@
 """Feature criteria: satisfaction algebra and decision-tree synthesis.
 
 A criterion is an atom ``(dimension, op, value)`` or a boolean combination
-of criteria. Missing values fail every order comparison; ``= Missing`` is
-the explicit presence test. ``compute_criterion`` builds a criterion that
-accepts a set of feature vectors B and rejects a set E by growing a binary
-decision tree and reading off the B-leaf paths. A criterion program
-(``TosetProgram``) is one criterion per step.
+of criteria. Criteria are immutable tuple values: an ``Atom`` is the tuple
+``(dim, op, value)`` and ``AllOf``/``AnyOf`` the tuple ``(tag, items)`` with
+tag ``"all"``/``"any"``, so they hash and compare as tuples do, in C, and
+copy and pickle through their validating constructors. Missing values fail
+every order comparison; ``= Missing`` is the explicit presence test.
+``compute_criterion`` builds a criterion that accepts a set of feature
+vectors B and rejects a set E by growing a binary decision tree and reading
+off the B-leaf paths. A criterion program (``TosetProgram``) is one
+criterion per step.
 """
 
 from __future__ import annotations
@@ -23,37 +27,57 @@ OPS = ("<", "<=", "=", ">=", ">")
 _ORDER = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
-@dataclass(frozen=True)
-class Atom:
-    dim: int
-    op: str
-    value: object = None
+class Atom(tuple):
+    """The atom ``(dim, op, value)``: a feature dimension compared to a value."""
 
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"unknown operator {self.op!r}")
-        if self.op != "=" and self.value is None:
+    __slots__ = ()
+
+    def __new__(cls, dim: int, op: str, value: object = None):
+        if op not in OPS:
+            raise ValueError(f"unknown operator {op!r}")
+        if op != "=" and value is None:
             raise ValueError("order comparisons cannot use a missing threshold")
+        return tuple.__new__(cls, (dim, op, value))
+
+    dim = property(operator.itemgetter(0))
+    op = property(operator.itemgetter(1))
+    value = property(operator.itemgetter(2))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Atom(dim={self[0]!r}, op={self[1]!r}, value={self[2]!r})"
 
 
-@dataclass(frozen=True)
-class AllOf:
-    items: tuple
+class _Junction(tuple):
+    """``(tag, items)``: a nonempty tuple of criteria joined by the subclass's ``_tag``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if not self.items:
-            raise ValueError("empty conjunction")
+    __slots__ = ()
+
+    def __new__(cls, items):
+        items = tuple(items)
+        if not items:
+            raise ValueError(f"empty {cls._noun}")
+        return tuple.__new__(cls, (cls._tag, items))
+
+    items = property(operator.itemgetter(1))
+
+    def __reduce__(self):
+        return type(self), (self[1],)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(items={self[1]!r})"
 
 
-@dataclass(frozen=True)
-class AnyOf:
-    items: tuple
+class AllOf(_Junction):
+    __slots__ = ()
+    _tag, _noun = "all", "conjunction"
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if not self.items:
-            raise ValueError("empty disjunction")
+
+class AnyOf(_Junction):
+    __slots__ = ()
+    _tag, _noun = "any", "disjunction"
 
 
 Criterion = Union[Atom, AllOf, AnyOf]
@@ -306,7 +330,8 @@ class TosetProgram:
         keys = g._criterion_keys
         out = []
         for c in self.steps:
-            key = keys.get(c)
+            # a plain tuple equal to a cached criterion is still no criterion
+            key = keys.get(c) if isinstance(c, (Atom, _Junction)) else None
             if key is None:
                 key = keys[c] = criterion_key(c, g.schema)
             out.append(key)

@@ -265,10 +265,14 @@ class DirectedGraph(_VertexTable):
         ids: dict[str, int] = {}
         of = [-1 if row[dim] is None else ids.setdefault(row[dim], len(ids)) for row in self.rows]
         # each class's bits set in a byte buffer, read as one int: linear in n,
-        # where OR-ing 1 << v into a growing int is quadratic
-        bufs = [bytearray((self.n + 7) // 8) for _ in ids]
-        for v, c in enumerate(of):
-            if c >= 0:
+        # where OR-ing 1 << v into a growing int is quadratic; walking from the
+        # end, a buffer is made at its class's last member, so it is no larger
+        # than the mask it becomes
+        bufs: list = [None] * len(ids)
+        for v in reversed(range(self.n)):
+            if (c := of[v]) >= 0:
+                if bufs[c] is None:
+                    bufs[c] = bytearray((v >> 3) + 1)
                 bufs[c][v >> 3] |= 1 << (v & 7)
         masks = tuple(int.from_bytes(buf, "little") for buf in bufs)
         self._colors = _Colors(tuple(ids), ids, tuple(of), masks)

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -18,40 +20,98 @@ from walkmine.criterion import (
 from walkmine.bitset import VertexSet, mask_of
 from walkmine.generate import random_instance
 from walkmine.graph import _DENSE_LIMIT, CATEGORICAL, ORDERED, Dimension, DirectedGraph, FeatureSchema
-from walkmine.stp import select_by_criterion, simulate_stp
+from walkmine.stp import TosetProgram, select_by_criterion, simulate_stp
 
 CN = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
 N1 = FeatureSchema((Dimension("n", ORDERED),))
 
 
 def test_atom_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown operator '!='"):
         Atom(0, "!=", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order comparisons cannot use a missing threshold"):
         Atom(0, "<", None)
+    with pytest.raises(ValueError, match="missing threshold"):
+        Atom(dim=0, op=">=")
     Atom(0, "=", None)  # presence test is fine
+    assert Atom(0, "=") == Atom(dim=0, op="=", value=None)
 
 
 def test_boolean_nodes_must_be_nonempty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty conjunction"):
         AllOf(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty disjunction"):
         AnyOf(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty conjunction"):
         AllOf(iter(()))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty disjunction"):
         AnyOf(iter(()))
 
 
 def test_non_criteria_are_rejected():
     g = random_instance(3, extra_dims=1).graph
-    for call in (
+    red = g.rows[0][0]
+    # cache criteria equal to the plain tuples below on the graph first
+    criterion_mask(g, Atom(0, "=", red))
+    TosetProgram((Atom(0, "=", red), AllOf((Atom(0, "=", red),)))).key(g)
+    calls = [
         lambda: satisfies(("red",), "color = red"),
         lambda: criterion_mask(g, ("color", "=", "red")),
         lambda: criterion_to_dict(None, CN),
-    ):
+    ]
+    # plain tuples equal to criteria are still no criteria
+    for crit in ((0, "=", red), ("all", (Atom(0, "=", red),))):
+        calls += [
+            lambda c=crit: satisfies(g.rows[0], c),
+            lambda c=crit: criterion_mask(g, c),
+            lambda c=crit: criterion_to_dict(c, g.schema),
+            lambda c=crit: TosetProgram((c,)).key(g),
+        ]
+    for call in calls:
         with pytest.raises(TypeError, match="not a criterion"):
             call()
+
+
+def test_criteria_are_tuple_values():
+    a, b = Atom(0, "=", "a"), Atom(1, "<=", 3)
+    assert a == (0, "=", "a") and hash(a) == hash((0, "=", "a"))
+    assert (a.dim, a.op, a.value) == (0, "=", "a")
+    assert AllOf((a, b)) == AllOf([a, b]) and AllOf((a, b)).items == (a, b)
+    assert AllOf((a, b)) != AnyOf((a, b))
+    assert len({AllOf((a, b)): 1, AnyOf((a, b)): 2}) == 2
+    assert repr(AnyOf((a, b))) == "AnyOf(items=(Atom(dim=0, op='=', value='a'), Atom(dim=1, op='<=', value=3)))"
+    for crit, name in ((a, "dim"), (a, "op"), (a, "value"), (AllOf((a,)), "items"), (AnyOf((a,)), "items")):
+        with pytest.raises(AttributeError):
+            setattr(crit, name, 1)
+        with pytest.raises(AttributeError):
+            crit.extra = 1
+    # no public path builds a criterion around its validating constructor
+    for cls in (Atom, AllOf, AnyOf):
+        assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
+        assert {n for n in dir(cls) if not n.startswith("_")} <= {"dim", "op", "value", "items", "count", "index"}
+    assert a.__reduce__() == (Atom, (0, "=", "a"))
+    assert AnyOf((a, b)).__reduce__() == (AnyOf, ((a, b),))
+
+
+def _same_value(x, y):
+    """Equal, of the same classes all the way down, and with equal hashes."""
+    assert x == y and type(x) is type(y) and hash(x) == hash(y)
+    if isinstance(x, (AllOf, AnyOf)):
+        for i, j in zip(x.items, y.items, strict=True):
+            _same_value(i, j)
+    if isinstance(x, TosetProgram):
+        for i, j in zip(x.steps, y.steps, strict=True):
+            _same_value(i, j)
+
+
+def test_criteria_copy_and_pickle_as_equal_values():
+    crit = AnyOf((AllOf((Atom(0, "=", "red"), Atom(1, "<=", 3))), Atom(1, "=", None)))
+    program = TosetProgram((crit, Atom(0, "=", "blue")))
+    for value in (crit, program):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            _same_value(other, value)
 
 
 def test_boolean_nodes_built_from_generators_keep_their_items():

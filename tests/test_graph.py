@@ -9,6 +9,7 @@ from walkmine.bitset import VertexSet, iter_bits, mask_of
 from walkmine.criterion import Atom
 from walkmine.generate import random_instance
 from walkmine.graph import (
+    _DENSE_LIMIT,
     CATEGORICAL,
     ORDERED,
     Dimension,
@@ -231,6 +232,23 @@ def test_color_masks_match_a_per_vertex_definition(monkeypatch):
         uncoloured = mask_of(v for v in range(n) if colours[v] is None)
         assert uncoloured and all(g.color_of(v) == -1 for v in iter_bits(uncoloured))
         assert sum(map(g.color_mask, range(g.num_colors))) == ((1 << n) - 1) & ~uncoloured
+
+
+@pytest.mark.parametrize("n", [61, _DENSE_LIMIT + 61])
+def test_per_vertex_label_colour_masks_match_or_ed_bits(n):
+    # each vertex its own colour, every tenth uncoloured, and the last vertex
+    # sharing the first one's: a class's buffer ends at its last member
+    colours = [None if v % 10 == 3 else f"c{v}" for v in range(n)]
+    colours[-1] = colours[0]
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    g = DirectedGraph(schema, [f"v{v}" for v in range(n)], [(c,) for c in colours], [(v, (v + 1) % n) for v in range(n)])
+    assert g._vectorised == (n >= _DENSE_LIMIT)
+    want: dict = {}
+    for v, c in enumerate(colours):
+        if c is not None:
+            want[c] = want.get(c, 0) | 1 << v
+    assert {name: g.color_mask(g.color_id(name)) for name in g.color_names} == want
+    assert list(want) == list(g.color_names)
 
 
 def test_both_layouts_build_the_same_graph(monkeypatch):

@@ -1,7 +1,8 @@
 import pytest
 
 from helpers import color_graph, feature_graph, vs
-from walkmine.criterion import AllOf, Atom, criterion_mask
+from walkmine import criterion
+from walkmine.criterion import AllOf, Atom, criterion_from_dict, criterion_mask
 from walkmine.stp import (
     TosetProgram,
     classify_stp,
@@ -61,6 +62,28 @@ def test_atom_masks_stay_with_their_graph():
     S = vs(g, "s1", "s2")
     assert simulate_stp(g, S, (red,))[-1] == vs(g, "a", "b")
     assert simulate_stp(recoloured, S, (red,))[-1] == vs(recoloured, "a")
+
+
+def test_programs_parsed_apart_share_their_atom_masks(monkeypatch):
+    g = two_dim_graph()
+    built = []
+    atom_mask = criterion._atom_mask
+
+    def counted(rows, d, op, value):
+        built.append((d, op, value))
+        return atom_mask(rows, d, op, value)
+
+    monkeypatch.setattr(criterion, "_atom_mask", counted)
+    red = {"atom": {"f": "color", "op": "=", "v": "red"}}
+    low = {"atom": {"f": "n", "op": "<=", "v": 3}}
+    green = {"atom": {"f": "color", "op": "=", "v": "green"}}
+    docs = ([{"all": [red, low]}, green], [{"any": [red, low]}, {"any": [green, low]}])
+    programs = [TosetProgram(criterion_from_dict(step, g.schema) for step in doc) for doc in docs]
+    assert programs[0].steps[0].items[0] is not programs[1].steps[0].items[0]
+    S = vs(g, "s")
+    assert classify_stp(g, S, vs(g, "t1"), programs[0]).kind == "exact"
+    assert classify_stp(g, S, vs(g, "t1", "t2"), programs[1]).kind == "exact"
+    assert sorted(built) == [(0, "=", "green"), (0, "=", "red"), (1, "<=", 3)]
 
 
 def test_simulate_matches_colour_walk():
