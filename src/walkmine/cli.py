@@ -121,6 +121,13 @@ def _program_line(rendered: list) -> str:
     return "·".join(rendered) if isinstance(rendered[0], str) else json.dumps(rendered)
 
 
+# engine -> (program parser, classify, simulate, mode -> miner)
+_ENGINES = {"scp": (_parse_scp_program, classify_scp, simulate_scp,
+                    {"exact": mine_exact_scp, "feasible": mine_feasible_scp}),
+            "stp": (_parse_stp_program, classify_stp, simulate_stp,
+                    {"exact": mine_exact_stp, "feasible": mine_feasible_stp})}
+
+
 # -- mine ----------------------------------------------------------------------
 
 
@@ -135,13 +142,7 @@ def _cmd_mine(args) -> int:
         time_budget=args.time_budget,
         fidelity=args.fidelity,
     )
-    miner = {
-        ("scp", "exact"): mine_exact_scp,
-        ("scp", "feasible"): mine_feasible_scp,
-        ("stp", "exact"): mine_exact_stp,
-        ("stp", "feasible"): mine_feasible_stp,
-    }[(args.engine, args.mode)]
-    reports = miner(g, source, target, config)
+    reports = _ENGINES[args.engine][3][args.mode](g, source, target, config)
     found = 0
     for report in (r.to_dict(g) for r in reports):
         found += len(report["programs"])
@@ -183,16 +184,11 @@ def _print_classification(g, cls, program, output: str):
         print(f"  E{i}: {' '.join(_names(g, level)) or '-'}")
 
 
-# engine -> (program parser, classify, simulate)
-_ENGINES = {"scp": (_parse_scp_program, classify_scp, simulate_scp),
-            "stp": (_parse_stp_program, classify_stp, simulate_stp)}
-
-
 def _cmd_verify(args) -> int:
     g = _load_simple_graph(args)
     source = _vertex_set(g, args.source, args.source_ids, "source")
     target = _vertex_set(g, args.target, args.target_ids, "target")
-    parse, classify, _ = _ENGINES[args.engine]
+    parse, classify, _, _ = _ENGINES[args.engine]
     program = parse(g, _program_text(args.program))
     cls = classify(g, source, target, program)
     _print_classification(g, cls, program, args.output)
@@ -208,7 +204,7 @@ def _cmd_simulate(args) -> int:
     target = None
     if args.target is not None or args.target_ids is not None:
         target = _vertex_set(g, args.target, args.target_ids, "target")
-    parse, _, simulate = _ENGINES[args.engine]
+    parse, _, simulate, _ = _ENGINES[args.engine]
     program = parse(g, _program_text(args.program))
     trace = simulate(g, source, program)
     if args.output == "dot":

@@ -8,16 +8,15 @@ copy and pickle through their validating constructors. Missing values fail
 every order comparison; ``= Missing`` is the explicit presence test.
 ``compute_criterion`` builds a criterion that accepts a set of feature
 vectors B and rejects a set E by growing a binary decision tree and reading
-off the B-leaf paths. A criterion program (``TosetProgram``) is one
-criterion per step.
+off the B-leaf paths. A criterion program (``TosetProgram``) is the tuple
+of its step criteria, one per step, and hashes and compares as that tuple.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence, Union
 
 from .bitset import iter_bits, mask_of
@@ -303,37 +302,29 @@ def criterion_key(crit: Criterion, schema: FeatureSchema) -> str:
     return json.dumps(criterion_to_dict(crit, schema), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class TosetProgram:
-    """A criterion program: one criterion per step."""
+class TosetProgram(tuple):
+    """A criterion program: the tuple of its step criteria, one per step."""
 
-    steps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __new__(cls, steps=()):
+        return tuple.__new__(cls, steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    steps = property(tuple)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # states hash their program on every lookup; criterion trees rehash fully
-        return hash(self.steps)
+    def __repr__(self) -> str:
+        return f"TosetProgram(steps={tuple(self)!r})"
 
     def to_dict(self, g) -> list:
-        return [criterion_to_dict(c, g.schema) for c in self.steps]
+        return [criterion_to_dict(c, g.schema) for c in self]
 
     def key(self, g) -> tuple[str, ...]:
         keys = g._criterion_keys
         out = []
-        for c in self.steps:
+        for c in self:
             # a plain tuple equal to a cached criterion is still no criterion
             key = keys.get(c) if isinstance(c, (Atom, _Junction)) else None
             if key is None:
                 key = keys[c] = criterion_key(c, g.schema)
             out.append(key)
         return tuple(out)
-

@@ -87,7 +87,7 @@ def _strict_filter(g, pool: int, B: int, M: int) -> int:
 
 def stp_searches(g, S: int, T: int, mode):
     """Uncorrected criterion search: in-neighbourhood pools, synthesis afterwards."""
-    carry = deque(((B, M, 0),) for _, B, M in start_states(T, mode, ()))
+    carry = deque(((B, M, 0),) for _, B, M in start_states(T, mode))
     step = criterion_memo(g)
 
     def search(length, positions, budget, found, stats):

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .bitset import VertexSet, iter_bits
+from .criterion import TosetProgram
 from .graph import DirectedGraph
 from .setcover import cover_masks
 
@@ -91,14 +92,14 @@ class Budget:
 
 def render_program(g: DirectedGraph, program) -> list:
     """JSON form of a program: colour names, or one criterion dict per step."""
-    if isinstance(program, tuple):
-        return [g.color_names[c] for c in program]
-    return program.to_dict(g)
+    if isinstance(program, TosetProgram):
+        return program.to_dict(g)
+    return [g.color_names[c] for c in program]
 
 
 def program_key(g: DirectedGraph, program):
     """Sort key of a program: a colour tuple is its own, a criterion program's its rendered steps."""
-    return program if isinstance(program, tuple) else program.key(g)
+    return program.key(g) if isinstance(program, TosetProgram) else program
 
 
 @dataclass
@@ -180,14 +181,14 @@ def run_levels(
             return
 
 
-def start_states(target: int, mode: str, empty) -> list:
+def start_states(target: int, mode: str) -> list:
     """Start states (ε, T, T) in exact mode, (ε, {t}, T) for each t in T in
-    feasible mode; ``empty`` is the engine's empty program ε."""
+    feasible mode, with ε the empty tuple for both engines."""
     starts = [target] if mode == EXACT else [1 << t for t in iter_bits(target)]
-    return [(empty, B, target) for B in starts]
+    return [((), B, target) for B in starts]
 
 
-def backward_search(g, engine, empty, target: int, mode, alike, split, label):
+def backward_search(g, engine, target: int, mode, alike, split, label):
     """A repaired search, breadth-first over states (p, B, M), one state per step.
 
     A state says that any start set between B and M runs the suffix program
@@ -197,7 +198,8 @@ def backward_search(g, engine, empty, target: int, mode, alike, split, label):
     B, so the safe vertices are the base's with no out-neighbour in alike(B)
     outside M; ``split(pool, safe)``, the (pool, keep) class pairs of the
     safe vertices that have an out-neighbour in B; ``label(state, safe)``,
-    the new suffix, asked only when some pool survives. The last step back
+    the new suffix, asked only when some pool survives, so every suffix past
+    ε, the empty tuple, is of the engine's program type. The last step back
     gives the one state (newp, S, S), S the source, when all of S is safe
     and S's image covers B. Any other keeps only the pools whose image
     covers B, and each base drawn from one gives a state (newp, base, keep)
@@ -223,7 +225,7 @@ def backward_search(g, engine, empty, target: int, mode, alike, split, label):
     ``found`` while the budget admits it.
     """
     expanded = _STATS[engine][0]
-    seeds = start_states(target, mode, empty)
+    seeds = start_states(target, mode)
 
     def search(length, positions, budget, found, stats):
         queue = deque(seeds)

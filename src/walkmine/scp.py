@@ -191,7 +191,7 @@ def _scp_searches(g, S: int, T: int, mode):
     K = [T]  # K[r]: the vertices with a walk of r steps into T
     return [
         lambda *args: _forward_search(g, S, K, mode, *args),
-        backward_search(g, "scp", (), T, mode, alike, split, label),
+        backward_search(g, "scp", T, mode, alike, split, label),
     ]
 
 

@@ -37,14 +37,14 @@ def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet
     g.check_universe(source)
     trace = [source]
     cur = source.mask
-    for crit in getattr(program, "steps", program):
+    for crit in program:
         cur = g.out_image(cur) & criterion_mask(g, crit)
         trace.append(VertexSet(g.n, cur))
     return trace
 
 
 def classify_stp(g: DirectedGraph, source: VertexSet, target: VertexSet, program) -> Classification:
-    keeps = (criterion_mask(g, crit) for crit in getattr(program, "steps", program))
+    keeps = (criterion_mask(g, crit) for crit in program)
     return classify_run(g, source, target, keeps)
 
 
@@ -95,6 +95,6 @@ def _stp_searches(g, S: int, T: int, mode):
         # reach outside M, and the step's criterion is the same for all of
         # them; no safe vertex reaches a twin of B outside M, so it separates
         p, B, M = state
-        return TosetProgram((step(B, M, g.out_image(safe) & ~M),) + p.steps)
+        return TosetProgram((step(B, M, g.out_image(safe) & ~M), *p))
 
-    return [backward_search(g, "stp", TosetProgram(()), T, mode, g.twins, split, label)]
+    return [backward_search(g, "stp", T, mode, g.twins, split, label)]

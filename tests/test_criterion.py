@@ -1,7 +1,11 @@
 import copy
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,7 @@ from walkmine.stp import TosetProgram, select_by_criterion, simulate_stp
 
 CN = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
 N1 = FeatureSchema((Dimension("n", ORDERED),))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_atom_validation():
@@ -107,11 +112,45 @@ def _same_value(x, y):
 def test_criteria_copy_and_pickle_as_equal_values():
     crit = AnyOf((AllOf((Atom(0, "=", "red"), Atom(1, "<=", 3))), Atom(1, "=", None)))
     program = TosetProgram((crit, Atom(0, "=", "blue")))
-    for value in (crit, program):
+    for value in (crit, program, TosetProgram(())):
         copies = [copy.copy(value), copy.deepcopy(value)]
         copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for other in copies:
             _same_value(other, value)
+
+
+def test_programs_are_tuple_values():
+    a, b = Atom(0, "=", "a"), AnyOf((Atom(1, "<=", 3), Atom(1, "=", None)))
+    steps = (a, b)
+    p = TosetProgram(steps)
+    assert p == steps and hash(p) == hash(steps) and p.steps == steps and type(p.steps) is tuple
+    assert TosetProgram(()) == () == TosetProgram() and hash(TosetProgram(())) == hash(())
+    assert repr(TosetProgram((a,))) == "TosetProgram(steps=(Atom(dim=0, op='=', value='a'),))"
+    with pytest.raises(AttributeError):
+        p.steps = ()
+    with pytest.raises(AttributeError):
+        p.extra = 1
+
+
+# builds the program p in a child process, before the code _hash_seeded runs
+_PROGRAM = ("import pickle, sys\n"
+            "from walkmine.criterion import AllOf, Atom, TosetProgram\n"
+            "p = TosetProgram((AllOf((Atom(0, '=', 'red'), Atom(1, '<=', 3))), Atom(0, '=', 'blue')))\n")
+
+
+def _hash_seeded(code: str, seed: str, stdin: bytes = b"") -> bytes:
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, inherited]) if inherited else SRC,
+               PYTHONHASHSEED=seed)
+    proc = subprocess.run([sys.executable, "-c", _PROGRAM + code], input=stdin, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_program_pickled_under_one_hash_seed_is_found_under_another():
+    data = _hash_seeded("hash(p)\nsys.stdout.buffer.write(pickle.dumps(p))", "1")
+    out = _hash_seeded("q = pickle.loads(sys.stdin.buffer.read())\nprint(q == p, q in {p})", "2", data)
+    assert out.split() == [b"True", b"True"]
 
 
 def test_boolean_nodes_built_from_generators_keep_their_items():

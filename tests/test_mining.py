@@ -116,7 +116,7 @@ def _step_back(source, target, length, alike=lambda B: 0, split=None, g=_LADDER)
     while len(positions) <= length:
         positions.append(g.out_image(positions[-1]))
     found, stats = {}, {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
-    search = backward_search(g, "scp", (), vs(g, *target).mask, "exact", log_alike, log_split, log_label)
+    search = backward_search(g, "scp", vs(g, *target).mask, "exact", log_alike, log_split, log_label)
     for _ in search(length, positions, Budget(MiningConfig(max_len=length)), found, stats):
         pass
     return calls, list(found), stats
@@ -208,7 +208,7 @@ def _cover_listing(max_triples=None):
     positions = [vs(g, "s").mask]
     while len(positions) <= 3:
         positions.append(g.out_image(positions[-1]))
-    search = backward_search(g, "scp", (), vs(g, "x", "y").mask, "exact", lambda B: 0,
+    search = backward_search(g, "scp", vs(g, "x", "y").mask, "exact", lambda B: 0,
                              lambda pool, allowed: [(pool, allowed)], lambda state, allowed: ("x",) + state[0])
     budget = Budget(MiningConfig(max_len=3, max_triples=max_triples))
     stats = {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}

@@ -8,15 +8,15 @@ import walkmine.literal
 import walkmine.stp
 from helpers import feature_graph, mine_all, name_program, trace_names, vs
 from walkmine import (
-    AllOf,
-    AnyOf,
     Atom,
     InseparableError,
     MiningConfig,
+    TosetProgram,
     classify_stp,
     compute_criterion,
     mine_exact_scp,
     mine_exact_stp,
+    mine_feasible_scp,
     mine_feasible_stp,
     simulate_scp,
     simulate_stp,
@@ -263,24 +263,31 @@ def test_memo_matches_unmemoised_synthesis(monkeypatch):
     assert _criterion_reports() == memoised
 
 
-def test_program_hash_cached(monkeypatch):
-    """Looking a state up hashes its program without re-walking the criterion trees."""
-    g, S, T = _planted_layered()
-    calls = [0]
+def test_program_hashes_and_compares_in_c():
+    """States look their program up with tuple's own C hash and comparison."""
+    assert TosetProgram.__hash__ is tuple.__hash__
+    assert TosetProgram.__eq__ is tuple.__eq__
+    assert not hasattr(TosetProgram((Atom(0, "=", "red"),)), "__dict__")
 
-    def counted(fn):
-        def wrapper(self):
-            calls[0] += 1
-            return fn(self)
 
-        return wrapper
-
-    for cls in (Atom, AllOf, AnyOf):
-        monkeypatch.setattr(cls, "__hash__", counted(cls.__hash__))
-    reports = list(mine_exact_stp(g, S, T, MiningConfig(max_len=5)))
-    assert [len(r.programs) for r in reports] == [0, 0, 0, 0, 0, 1]
-    states = sum(r.stats["chains_expanded"] for r in reports)
-    assert 0 < calls[0] <= 6 * states
+def test_reports_keep_each_engines_program_type():
+    """Both engines start from the empty tuple, yet every ``stp`` program,
+    ε included, is a TosetProgram and every ``scp`` program a plain int tuple."""
+    miners = ((mine_exact_stp, TosetProgram), (mine_feasible_stp, TosetProgram),
+              (mine_exact_scp, tuple), (mine_feasible_scp, tuple))
+    seen = Counter()
+    for seed in range(1000, 1050):
+        inst = random_instance(seed, extra_dims=2)
+        for fidelity in (REPAIRED, LITERAL):
+            config = MiningConfig(max_len=3, fidelity=fidelity)
+            for miner, kind in miners:
+                for report in miner(inst.graph, inst.source, inst.target, config):
+                    for p in report.programs:
+                        assert type(p) is kind, (seed, fidelity, miner.__name__, p)
+                        if kind is tuple:
+                            assert all(type(c) is int for c in p)
+                        seen[kind, len(p)] += 1
+    assert all(seen[kind, n] for kind in (TosetProgram, tuple) for n in range(4))
 
 
 def test_determinism(threestep):
