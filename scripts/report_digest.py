@@ -2,10 +2,11 @@
 
 Mines every ``random_instance`` of seeds 1000-1149 with ``extra_dims`` 0, 1
 and 2, with both engines (``scp`` to length 4, ``stp`` to length 3), both
-modes and both fidelities, once uncapped and once with ``max_triples=7``. Each
-report's ``to_dict`` goes to one JSON line. The script prints the number of
-reports and the SHA-256 of the whole stream, then the same for each (engine,
-fidelity) group, then for the uncapped repaired ``scp`` and ``stp`` reports
+modes and both fidelities (the package's repaired searches, and the
+uncorrected ``literal`` ones that ``tests/literal_reference.py`` keeps), once
+uncapped and once with ``max_triples=7``. Each report's ``to_dict`` goes to
+one JSON line. The script prints the number of reports and the SHA-256 of the
+whole stream, then the same for each (engine, fidelity) group, then for the uncapped repaired ``scp`` and ``stp`` reports
 with their ``stats`` dropped. Two commits whose digests match gave
 byte-identical reports on the corpus; the group lines show which reports a
 change moved. Two groups outside the total follow. The verify group
@@ -28,6 +29,7 @@ import hashlib
 import json
 import random
 import sys
+from pathlib import Path
 
 from walkmine import graph
 from walkmine.criterion import AllOf, AnyOf, Atom, TosetProgram
@@ -37,13 +39,17 @@ from walkmine.mining import MiningConfig
 from walkmine.scp import mine_exact_scp, mine_feasible_scp
 from walkmine.stp import classify_stp, mine_exact_stp, mine_feasible_stp, simulate_stp
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from literal_reference import literal  # noqa: E402  (found through the line above)
+
 MINERS = (
     ("scp", 4, mine_exact_scp),
     ("scp", 4, mine_feasible_scp),
     ("stp", 3, mine_exact_stp),
     ("stp", 3, mine_feasible_stp),
 )
-FIDELITIES = ("repaired", "literal")
+# fidelity -> the miner it runs for a package miner
+FIDELITIES = {"repaired": lambda miner: miner, "literal": literal}
 STATS_FREE = {engine: f"{engine} repaired uncapped, no stats" for engine in ("scp", "stp")}
 VERIFY = "stp classify and simulate, random programs"
 EDGE_ARRAYS = "seeds 1000-1029 on edge arrays"
@@ -105,10 +111,10 @@ def instance(seed, extra_dims, edge_arrays=False):
 def report_lines(seed, extra_dims, g, S, T):
     """(engine, head, report dict) per mined report; head names the run."""
     for engine, max_len, miner in MINERS:
-        for fidelity in FIDELITIES:
+        for fidelity, wrap in FIDELITIES.items():
             for max_triples in (None, 7):
-                cfg = MiningConfig(max_len=max_len, max_triples=max_triples, fidelity=fidelity)
-                for rep in miner(g, S, T, cfg):
+                cfg = MiningConfig(max_len=max_len, max_triples=max_triples)
+                for rep in wrap(miner)(g, S, T, cfg):
                     yield engine, [seed, extra_dims, fidelity, max_triples], rep.to_dict(g)
 
 

@@ -140,7 +140,6 @@ def _cmd_mine(args) -> int:
         max_programs=args.max_programs,
         max_triples=args.max_triples,
         time_budget=args.time_budget,
-        fidelity=args.fidelity,
     )
     reports = _ENGINES[args.engine][3][args.mode](g, source, target, config)
     found = 0
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-programs", type=int)
     p.add_argument("--max-triples", type=int)
     p.add_argument("--time-budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--fidelity", choices=("repaired", "literal"), default="repaired")
     p.add_argument("--output", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_mine)
 

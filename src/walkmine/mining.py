@@ -13,31 +13,24 @@ from .criterion import TosetProgram
 from .graph import DirectedGraph
 from .setcover import cover_masks
 
-REPAIRED = "repaired"
-LITERAL = "literal"
-
 EXACT = "exact"
 FEASIBLE = "feasible"
 
 _STATS = {
     "scp": ("triples_expanded", "pseudo_bases", "dedup_hits"),
+    # "inseparable" reads 0 in the backward search; it stays so stp's stats keep their keys
     "stp": ("chains_expanded", "pseudo_bases", "dedup_hits", "inseparable"),
 }
 
 
 @dataclass(frozen=True)
 class MiningConfig:
-    """Limits and behaviour switches for a mining run.
-
-    ``fidelity`` selects between the corrected backward search (default) and
-    a literal transcription of its uncorrected form, kept for comparison.
-    """
+    """Limits of a mining run."""
 
     max_len: int
     max_programs: Optional[int] = None
     max_triples: Optional[int] = None
     time_budget: Optional[float] = None
-    fidelity: str = REPAIRED
 
     def __post_init__(self):
         for name, least in (("max_len", 0), ("max_programs", 1), ("max_triples", 1)):
@@ -50,8 +43,6 @@ class MiningConfig:
         if seconds is not None and (type(seconds) is bool or not isinstance(seconds, (int, float))
                                     or not seconds >= 0):
             raise ValueError("time_budget must be a number of seconds >= 0")
-        if self.fidelity not in (REPAIRED, LITERAL):
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
 
 
 class Budget:
@@ -150,16 +141,15 @@ def run_levels(
     to ``found``, a dict kept as an ordered set. The searches take one step
     each in turn, and the first to finish answers the length. A length is
     viable when the vertices that many steps from the source contain the
-    target (exact mode and the literal fidelity) or meet it (repaired
-    feasible mode). The empty program counts toward ``max_programs``. A
-    report lists its programs by :func:`program_key`; it is exhausted unless
-    the budget tripped, and the run stops after the length that trips it.
+    target (exact mode) or meet it (feasible mode). The empty program counts
+    toward ``max_programs``. A report lists its programs by
+    :func:`program_key`; it is exhausted unless the budget tripped, and the
+    run stops after the length that trips it.
     ``extra_stats`` names the counters the searches keep beyond the engine's own.
     """
     _validate_instance(g, source, target)
     budget = Budget(config)
     searches = make_searches(g, source.mask, target.mask, mode)
-    contain = mode == EXACT or config.fidelity == LITERAL
     positions = [source.mask]
     for length in range(config.max_len + 1):
         stats, found = dict.fromkeys(_STATS[engine] + extra_stats, 0), {}
@@ -171,7 +161,7 @@ def run_levels(
         else:
             positions.append(g.out_image(positions[-1]))
             reach = positions[length]
-            viable = target.mask & ~reach == 0 if contain else target.mask & reach != 0
+            viable = target.mask & ~reach == 0 if mode == EXACT else target.mask & reach != 0
             if viable:
                 for _ in zip(*(search(length, positions, budget, found, stats) for search in searches)):
                     pass  # zip stops as soon as one search finishes

@@ -9,8 +9,7 @@ into the target. The default miner keeps that invariant exactly, and gives
 search, whose hooks name B's one colour class as the vertices a step keeping
 B also keeps and split pools into colour classes, and a forward
 subset-construction search over endpoint sets; the first to finish answers
-each length. The ``literal`` fidelity, in :mod:`walkmine.literal`,
-reproduces an uncorrected variant of the backward search kept for comparison.
+each length.
 """
 
 from __future__ import annotations
@@ -18,12 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from . import literal
 from .bitset import VertexSet, iter_bits
 from .graph import DirectedGraph
-from .mining import (
-    EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels,
-)
+from .mining import EXACT, FEASIBLE, MiningConfig, MiningReport, backward_search, run_levels
 from .setcover import minimal_covers
 
 INFEASIBLE = "infeasible"
@@ -169,8 +165,6 @@ def mine_feasible_scp(g, source, target, config: MiningConfig) -> Iterator[Minin
 
 
 def _mine_scp(g, source, target, config, mode) -> Iterator[MiningReport]:
-    if config.fidelity == LITERAL:
-        return run_levels(g, source, target, config, "scp", mode, (), literal.scp_searches)
     return run_levels(g, source, target, config, "scp", mode, (), _scp_searches, _FORWARD_STATS)
 
 

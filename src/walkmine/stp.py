@@ -7,20 +7,17 @@ backward search over states (p, B, M), p a criterion suffix. Its hooks name
 B's feature-vector twins (:meth:`DirectedGraph.twins`) as the vertices a step
 keeping B also keeps, split pools into feature-vector classes, and label a
 step with the criterion that separates B from the vertices a run could leak
-to, synthesised once per distinct input in a run. The ``literal`` fidelity,
-in :mod:`walkmine.literal`, keeps the uncorrected in-neighbourhood pools and
-synthesises criteria per accepted chain.
+to, synthesised once per distinct input in a run.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from . import literal
 from .bitset import VertexSet
 from .criterion import Criterion, TosetProgram, criterion_mask, criterion_memo
 from .graph import DirectedGraph
-from .mining import EXACT, FEASIBLE, LITERAL, MiningConfig, MiningReport, backward_search, run_levels
+from .mining import EXACT, FEASIBLE, MiningConfig, MiningReport, backward_search, run_levels
 from .scp import Classification, classify_run
 # unused here, but bench/test_reference.py reads stp.minimal_covers
 from .setcover import minimal_covers
@@ -72,8 +69,7 @@ def mine_feasible_stp(g, source, target, config: MiningConfig) -> Iterator[Minin
 
 
 def _mine_stp(g, source, target, config, mode) -> Iterator[MiningReport]:
-    make_searches = literal.stp_searches if config.fidelity == LITERAL else _stp_searches
-    return run_levels(g, source, target, config, "stp", mode, TosetProgram(()), make_searches)
+    return run_levels(g, source, target, config, "stp", mode, TosetProgram(()), _stp_searches)
 
 
 def _stp_searches(g, S: int, T: int, mode):

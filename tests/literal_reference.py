@@ -1,15 +1,20 @@
-"""The ``literal`` fidelity: uncorrected transcriptions of both backward searches.
+"""The paper's uncorrected searches, kept as a reference for the tests.
 
-Kept for comparison with the repaired searches in :mod:`walkmine.scp` and
-:mod:`walkmine.stp`. Each factory returns a one-search list for
+Uncorrected transcriptions of both backward searches, for comparison with the
+repaired searches in :mod:`walkmine.scp` and :mod:`walkmine.stp`; the package
+no longer ships them. :func:`literal` maps each of the four miners to its
+uncorrected twin. Each factory returns a one-search list for
 :func:`walkmine.mining.run_levels`; the search yields once per popped state
 and per branch of a cover listing, and lists its programs into the driver's
 ``found``. A refused charge trips the budget and ends the queue loop, after
 which the criterion search still synthesises the chains it accepted. Unlike
 the repaired searches, a literal search does not restart at each length: the
 states whose suffix reaches one viable length are carried into the next
-viable length's queue and extended from there. Nor do they share the
-repaired safe-set rule: each keeps its own per-colour or per-vertex filter.
+viable length's queue and extended from there. A length is viable for it,
+in both modes, when the vertices that many steps from the source contain
+the target; each search checks that itself, before it takes up the carried
+states. Nor do they share the repaired safe-set rule: each keeps its own
+per-colour or per-vertex filter.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from __future__ import annotations
 from collections import deque
 from itertools import takewhile
 
-from .bitset import iter_bits, mask_of
-from .criterion import TosetProgram, criterion_memo
-from .mining import EXACT, start_states
-from .setcover import cover_masks
+from walkmine.bitset import iter_bits, mask_of
+from walkmine.criterion import TosetProgram, criterion_memo
+from walkmine.mining import EXACT, FEASIBLE, run_levels, start_states
+from walkmine.scp import mine_exact_scp, mine_feasible_scp
+from walkmine.setcover import cover_masks
+from walkmine.stp import mine_exact_stp, mine_feasible_stp
 
 
 def _scp_seeds(g, target: int, mode: str) -> list:
@@ -43,6 +50,8 @@ def scp_searches(g, S: int, T: int, mode):
 
     def search(length, positions, budget, found, stats):
         nonlocal carry
+        if T & ~positions[length]:
+            return
         queue, carry = carry, deque()
         seen = set(queue)
         while queue and budget.charge_triple():
@@ -92,6 +101,8 @@ def stp_searches(g, S: int, T: int, mode):
 
     def search(length, positions, budget, found, stats):
         nonlocal carry
+        if T & ~positions[length]:
+            return
         accepted = []
         queue, carry = carry, deque()
         while queue and budget.charge_triple():
@@ -122,3 +133,23 @@ def stp_searches(g, S: int, T: int, mode):
                 found[program] = None
 
     return [search]
+
+
+# package miner -> (engine, mode, empty program, uncorrected searches)
+_LITERAL = {
+    mine_exact_scp: ("scp", EXACT, (), scp_searches),
+    mine_feasible_scp: ("scp", FEASIBLE, (), scp_searches),
+    mine_exact_stp: ("stp", EXACT, TosetProgram(()), stp_searches),
+    mine_feasible_stp: ("stp", FEASIBLE, TosetProgram(()), stp_searches),
+}
+
+
+def literal(miner):
+    """``miner``'s uncorrected twin, with the same signature and report stream shape."""
+    engine, mode, empty, make_searches = _LITERAL[miner]
+
+    def mine(g, source, target, config):
+        return run_levels(g, source, target, config, engine, mode, empty, make_searches)
+
+    mine.__name__ = f"{miner.__name__}-literal"
+    return mine

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from helpers import mine_all, name_program
+from literal_reference import literal
 from walkmine import (
     Atom,
     Dimension,
@@ -41,7 +42,7 @@ from walkmine import (
 )
 from walkmine.generate import layered_graph, random_instance
 from walkmine.graph import CATEGORICAL, ORDERED
-from walkmine.mining import LITERAL, REPAIRED, render_program
+from walkmine.mining import render_program
 
 CORPUS_SIZE = 200
 MAX_LEN = 4
@@ -141,10 +142,8 @@ def test_dead_branch_fixture_regression(dead_branch, announce):
     wanted = name_program(g, "red", "green", "yellow")
     repaired = mine_all(mine_exact_scp, g, S, T, MiningConfig(max_len=3))
     found = wanted in set(repaired[3].programs)
-    literal = mine_all(
-        mine_exact_scp, g, S, T, MiningConfig(max_len=3, fidelity=LITERAL)
-    )
-    literal_count = sum(len(rep.programs) for rep in literal.values())
+    missed = mine_all(literal(mine_exact_scp), g, S, T, MiningConfig(max_len=3))
+    literal_count = sum(len(rep.programs) for rep in missed.values())
     announce(
         "dead-branch lookahead regression",
         found and literal_count == 0,
@@ -389,9 +388,9 @@ def _relabelled(inst):
     return h, moved(inst.source), moved(inst.target)
 
 
-def _rendered_reports(miner, g, S, T, fidelity) -> list:
+def _rendered_reports(miner, g, S, T) -> list:
     """Per length: the exhausted flag and the set of rendered programs."""
-    config = MiningConfig(max_len=RELABEL_MAX_LEN, fidelity=fidelity)
+    config = MiningConfig(max_len=RELABEL_MAX_LEN)
     return [(rep.exhausted, {json.dumps(render_program(g, p)) for p in rep.programs})
             for rep in miner(g, S, T, config)]
 
@@ -419,10 +418,10 @@ def _relabelling_gap(miners, criterion_miners, with_verdicts) -> tuple:
         inst = random_instance(seed, extra_dims=extra_dims)
         twin = _relabelled(inst)
         for name, miner in miners + (criterion_miners if extra_dims else ()):
-            for fidelity in (REPAIRED, LITERAL):
+            for fidelity, run in (("repaired", miner), ("literal", literal(miner))):
                 compared += 1
-                ours = _rendered_reports(miner, inst.graph, inst.source, inst.target, fidelity)
-                theirs = _rendered_reports(miner, *twin, fidelity)
+                ours = _rendered_reports(run, inst.graph, inst.source, inst.target)
+                theirs = _rendered_reports(run, *twin)
                 if ours != theirs:
                     moved.append((seed, name, fidelity))
         if with_verdicts and _verdicts(inst.graph, inst.source, inst.target, seed) != _verdicts(*twin, seed):

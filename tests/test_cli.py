@@ -334,12 +334,19 @@ def test_unwritable_output_exits_two(capsys, tmp_path, argv):
         (("verify", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
           "--engine", "stp", "--program", '[{"atom": {"f": ["color"], "op": "=", "v": "red"}}]'),
          "feature name"),
+        # the uncorrected searches are no longer offered
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--fidelity", "literal"), "unrecognized arguments: --fidelity literal"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):
-    code, _, err = run(capsys, *argv)
+    try:
+        code, prefix = main(list(argv)), "error:"
+    except SystemExit as exit:  # argparse prints its usage line, then the error
+        code, prefix = exit.code, "usage:"
+    err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and needle in err
+    assert err.startswith(prefix) and needle in err
 
 
 def test_default_color_dim_may_be_missing(capsys, tmp_path):

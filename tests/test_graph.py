@@ -5,6 +5,7 @@ import pytest
 
 import walkmine.graph as graphmod
 from helpers import color_graph, feature_graph, vs
+from literal_reference import literal
 from walkmine.bitset import VertexSet, iter_bits, mask_of
 from walkmine.criterion import Atom
 from walkmine.generate import random_instance
@@ -434,8 +435,8 @@ def test_vector_map_is_built_on_first_use_only():
     g = load_graph(serialize_graph(inst.graph))
     assert g._twin_masks is None
     for miner in (mine_exact_scp, mine_feasible_scp):
-        for fidelity in ("repaired", "literal"):
-            list(miner(g, inst.source, inst.target, MiningConfig(max_len=4, fidelity=fidelity)))
+        for run in (miner, literal(miner)):
+            list(run(g, inst.source, inst.target, MiningConfig(max_len=4)))
     assert g._twin_masks is None
     g.twins(1)
     assert g._twin_masks is not None

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 import time
@@ -7,10 +6,11 @@ import pytest
 
 import walkmine.graph as graphmod
 from helpers import SEARCHES, color_graph, color_names, mine_all, name_program, scp_miner, vs
+from literal_reference import literal
 from walkmine.bitset import VertexSet
 from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
-from walkmine.mining import LITERAL, Budget, MiningConfig, render_program
+from walkmine.mining import Budget, MiningConfig, render_program
 from walkmine.oracle import brute_force_mine_scp
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
 from walkmine.stp import mine_exact_stp, mine_feasible_stp
@@ -59,15 +59,14 @@ def test_dead_branch_needs_vacuous_safety(dead_branch):
 def test_dead_branch_literal_mode_misses(dead_branch):
     # the uncorrected safe-set rule prunes the dead green branch's parent
     g, S, T = dead_branch
-    cfg = MiningConfig(max_len=3, fidelity="literal")
-    reports = mine_all(mine_exact_scp, g, S, T, cfg)
+    reports = mine_all(literal(mine_exact_scp), g, S, T, MiningConfig(max_len=3))
     assert all(r.programs == [] for r in reports.values())
 
 
 def test_funnel_literal_mode_misses(funnel):
     g, S, T = funnel
     for miner in (mine_exact_scp, mine_feasible_scp):
-        reports = mine_all(miner, g, S, T, MiningConfig(max_len=2, fidelity="literal"))
+        reports = mine_all(literal(miner), g, S, T, MiningConfig(max_len=2))
         assert all(r.programs == [] for r in reports.values())
 
 
@@ -132,8 +131,6 @@ def test_instance_validation(funnel):
         list(mine_exact_scp(g, S, VertexSet(99, 1), MiningConfig(max_len=1)))
     with pytest.raises(ValueError):
         MiningConfig(max_len=-1)
-    with pytest.raises(ValueError):
-        MiningConfig(max_len=1, fidelity="verbatim")
     with pytest.raises(ValueError):
         MiningConfig(max_len=1, max_triples=0)
     # caps are counts: a float or a bool is refused, not rounded or compared
@@ -310,19 +307,9 @@ def test_last_step_tests_the_source_itself(miner, green):
     assert capped[n].programs == [p] and capped[n].exhausted
 
 
-def _literal(miner):
-    """``miner`` run with the ``literal`` fidelity."""
-
-    def literal(g, source, target, config):
-        return miner(g, source, target, dataclasses.replace(config, fidelity=LITERAL))
-
-    literal.__name__ = f"{miner.__name__}-literal"
-    return literal
-
-
 @pytest.mark.parametrize(
     "miner",
-    [mine_exact_scp, mine_exact_stp, _literal(mine_exact_scp), _literal(mine_exact_stp)],
+    [mine_exact_scp, mine_exact_stp, literal(mine_exact_scp), literal(mine_exact_stp)],
     ids=lambda miner: miner.__name__,
 )
 def test_interior_cover_enumeration_keeps_the_time_budget(miner):
@@ -353,7 +340,7 @@ def test_race_answers_before_the_cover_listing_ends(caps):
 
 @pytest.mark.parametrize(
     "miner",
-    [scp_miner("exact", ("backward",)), mine_exact_stp, _literal(mine_exact_scp), _literal(mine_exact_stp)],
+    [scp_miner("exact", ("backward",)), mine_exact_stp, literal(mine_exact_scp), literal(mine_exact_stp)],
     ids=["scp-backward", "mine_exact_stp", "mine_exact_scp-literal", "mine_exact_stp-literal"],
 )
 def test_triple_cap_bounds_a_cover_listing(miner):

@@ -3,10 +3,11 @@ import json
 import random
 from collections import Counter
 
+import literal_reference
 import walkmine.criterion
-import walkmine.literal
 import walkmine.stp
 from helpers import feature_graph, mine_all, name_program, trace_names, vs
+from literal_reference import literal
 from walkmine import (
     Atom,
     InseparableError,
@@ -22,7 +23,6 @@ from walkmine import (
     simulate_stp,
 )
 from walkmine.generate import layered_graph, random_instance
-from walkmine.mining import LITERAL, REPAIRED
 
 ATOM = lambda f, op, v: {"atom": {"f": f, "op": op, "v": v}}
 
@@ -65,18 +65,14 @@ def test_dead_branch_needs_lookahead(dead_branch):
         ATOM("color", "=", "green"),
         ATOM("color", "=", "yellow"),
     ]
-    literal = mine_all(
-        mine_exact_stp, g, S, T, MiningConfig(max_len=3, fidelity=LITERAL)
-    )
-    assert all(not rep.programs for rep in literal.values())
+    missed = mine_all(literal(mine_exact_stp), g, S, T, MiningConfig(max_len=3))
+    assert all(not rep.programs for rep in missed.values())
 
 
 def test_literal_misses_funnel(funnel):
     g, S, T = funnel
-    literal = mine_all(
-        mine_exact_stp, g, S, T, MiningConfig(max_len=3, fidelity=LITERAL)
-    )
-    assert all(not rep.programs for rep in literal.values())
+    missed = mine_all(literal(mine_exact_stp), g, S, T, MiningConfig(max_len=3))
+    assert all(not rep.programs for rep in missed.values())
 
 
 def test_feasible_three_step(threestep):
@@ -222,7 +218,7 @@ def test_inseparable_hits_count_every_time(monkeypatch):
     S, T = vs(g, "s1", "s2", "s3"), vs(g, "t")
     calls = Counter()
     _count_calls(monkeypatch, walkmine.criterion, "compute_criterion", calls)
-    reports = mine_all(mine_exact_stp, g, S, T, MiningConfig(max_len=2, fidelity=LITERAL))
+    reports = mine_all(literal(mine_exact_stp), g, S, T, MiningConfig(max_len=2))
     assert reports[2].programs == []
     assert reports[2].stats["inseparable"] == 2
     assert calls["compute_criterion"] == 2  # u's step and t's step, once each
@@ -241,25 +237,26 @@ def _unmemoised(g):
 
 
 def _criterion_reports():
-    """Every criterion report on seeds 1000-1029 with extra_dims 1 and 2: both
-    fidelities and modes, uncapped and with ``max_triples=7``, stats included."""
+    """Every criterion report on seeds 1000-1029 with extra_dims 1 and 2: the
+    repaired and literal searches in both modes, uncapped and with
+    ``max_triples=7``, stats included."""
     docs = []
     for seed in range(1000, 1030):
         for extra_dims in (1, 2):
             inst = random_instance(seed, extra_dims=extra_dims)
             g, S, T = inst.graph, inst.source, inst.target
-            for fidelity in (REPAIRED, LITERAL):
-                for miner in (mine_exact_stp, mine_feasible_stp):
-                    for max_triples in (None, 7):
-                        cfg = MiningConfig(max_len=3, max_triples=max_triples, fidelity=fidelity)
-                        docs.extend(rep.to_dict(g) for rep in miner(g, S, T, cfg))
+            for miner in (mine_exact_stp, mine_feasible_stp,
+                          literal(mine_exact_stp), literal(mine_feasible_stp)):
+                for max_triples in (None, 7):
+                    cfg = MiningConfig(max_len=3, max_triples=max_triples)
+                    docs.extend(rep.to_dict(g) for rep in miner(g, S, T, cfg))
     return docs
 
 
 def test_memo_matches_unmemoised_synthesis(monkeypatch):
     memoised = _criterion_reports()
     monkeypatch.setattr(walkmine.stp, "criterion_memo", _unmemoised)
-    monkeypatch.setattr(walkmine.literal, "criterion_memo", _unmemoised)
+    monkeypatch.setattr(literal_reference, "criterion_memo", _unmemoised)
     assert _criterion_reports() == memoised
 
 
@@ -275,18 +272,17 @@ def test_reports_keep_each_engines_program_type():
     ε included, is a TosetProgram and every ``scp`` program a plain int tuple."""
     miners = ((mine_exact_stp, TosetProgram), (mine_feasible_stp, TosetProgram),
               (mine_exact_scp, tuple), (mine_feasible_scp, tuple))
+    miners += tuple((literal(miner), kind) for miner, kind in miners)
     seen = Counter()
     for seed in range(1000, 1050):
         inst = random_instance(seed, extra_dims=2)
-        for fidelity in (REPAIRED, LITERAL):
-            config = MiningConfig(max_len=3, fidelity=fidelity)
-            for miner, kind in miners:
-                for report in miner(inst.graph, inst.source, inst.target, config):
-                    for p in report.programs:
-                        assert type(p) is kind, (seed, fidelity, miner.__name__, p)
-                        if kind is tuple:
-                            assert all(type(c) is int for c in p)
-                        seen[kind, len(p)] += 1
+        for miner, kind in miners:
+            for report in miner(inst.graph, inst.source, inst.target, MiningConfig(max_len=3)):
+                for p in report.programs:
+                    assert type(p) is kind, (seed, miner.__name__, p)
+                    if kind is tuple:
+                        assert all(type(c) is int for c in p)
+                    seen[kind, len(p)] += 1
     assert all(seen[kind, n] for kind in (TosetProgram, tuple) for n in range(4))
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from helpers import scp_miner
+from literal_reference import literal
 from walkmine import scp, stp
 from walkmine.generate import random_instance
 from walkmine.mining import MiningConfig
@@ -27,8 +28,8 @@ from walkmine.stp import mine_exact_stp, mine_feasible_stp
 
 RUNS = (
     ("repaired", 4, (mine_exact_scp, mine_feasible_scp)),
-    ("literal", 4, (mine_exact_scp, mine_feasible_scp)),
-    ("literal", 3, (mine_exact_stp, mine_feasible_stp)),
+    ("literal", 4, (literal(mine_exact_scp), literal(mine_feasible_scp))),
+    ("literal", 3, (literal(mine_exact_stp), literal(mine_feasible_stp))),
 )
 REPORTS = 5463
 SHA256 = "72f33e1b1ade7c3d8f1737c6c42d22b47a1506d6cce77dd94dd143e38e80b394"
@@ -54,12 +55,12 @@ def _digest(runs, caps=(None, 7), stats=True):
         for extra_dims in (0, 2):
             inst = random_instance(seed, extra_dims=extra_dims)
             g, S, T = inst.graph, inst.source, inst.target
-            for fidelity, max_len, miners in runs:
+            for label, max_len, miners in runs:
                 for miner in miners:
                     for max_triples in caps:
-                        cfg = MiningConfig(max_len=max_len, max_triples=max_triples, fidelity=fidelity)
+                        cfg = MiningConfig(max_len=max_len, max_triples=max_triples)
                         for rep in miner(g, S, T, cfg):
-                            head = [seed, extra_dims, fidelity, max_triples]
+                            head = [seed, extra_dims, label, max_triples]
                             line = rep.to_dict(g)
                             if not stats:
                                 del line["stats"]
