@@ -89,8 +89,11 @@ def render_program(g: DirectedGraph, program) -> list:
 
 
 def program_key(g: DirectedGraph, program):
-    """Sort key of a program: a colour tuple is its own, a criterion program's its rendered steps."""
-    return program.key(g) if isinstance(program, TosetProgram) else program
+    """Sort key of a program: a colour program's colour names, a criterion
+    program's rendered steps; so neither follows the order of the vertices."""
+    if isinstance(program, TosetProgram):
+        return program.key(g)
+    return tuple(map(g.color_names.__getitem__, program))
 
 
 @dataclass

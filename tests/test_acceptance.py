@@ -389,9 +389,9 @@ def _relabelled(inst):
 
 
 def _rendered_reports(miner, g, S, T) -> list:
-    """Per length: the exhausted flag and the set of rendered programs."""
+    """Per length: the exhausted flag and the rendered programs in report order."""
     config = MiningConfig(max_len=RELABEL_MAX_LEN)
-    return [(rep.exhausted, {json.dumps(render_program(g, p)) for p in rep.programs})
+    return [(rep.exhausted, [render_program(g, p) for p in rep.programs])
             for rep in miner(g, S, T, config)]
 
 
@@ -439,7 +439,7 @@ def test_relabelling_keeps_reports_and_verdicts(announce):
         "relabelled vertices keep reports and verdicts",
         not moved,
         f"{len(RELABEL_CORPUS)} graphs, each against a seeded renumbering of its vertices; "
-        f"{compared} report streams (lengths 0..{RELABEL_MAX_LEN}, both fidelities, programs as sets) "
+        f"{compared} report streams (lengths 0..{RELABEL_MAX_LEN}, both fidelities, programs in report order) "
         f"and {len(RELABEL_CORPUS)} batches of 8 colour-program verdicts, "
         f"{len(moved)} differing (tolerance 0): {moved[:6]}",
     )

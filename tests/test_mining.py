@@ -8,8 +8,10 @@ ZERO = {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0, "laps": 0}
 
 
 def _instance():
-    # s -> t -> t: every length from 1 on ends at {t}
-    g = color_graph(["s", "t"], ["gray", "green"], [("s", "t"), ("t", "t")])
+    # s -> t -> t: every length from 1 on ends at {t}; the fake searches list
+    # colour ids 0-5, which name c0-c5, so the driver's order is the ids' order
+    g = color_graph(["s", "t", "x2", "x3", "x4", "x5"], [f"c{i}" for i in range(6)],
+                    [("s", "t"), ("t", "t")])
     return g, vs(g, "s"), vs(g, "t")
 
 

@@ -32,7 +32,7 @@ RUNS = (
     ("literal", 3, (literal(mine_exact_stp), literal(mine_feasible_stp))),
 )
 REPORTS = 5463
-SHA256 = "72f33e1b1ade7c3d8f1737c6c42d22b47a1506d6cce77dd94dd143e38e80b394"
+SHA256 = "5472851f0fa095194b23dfd357425b0b50aa90d1f05897135de129321fc4f1f6"
 
 STP_RUNS = (("repaired", 3, (mine_exact_stp, mine_feasible_stp)),)
 STP_REPORTS = 1590
@@ -40,10 +40,10 @@ STP_SHA256 = "b2c04930bdb4e2cd77f40929a467901da825b3c28990a9a2472ec737ba2d2625"
 
 UNCAPPED_RUNS = (RUNS[0], STP_RUNS[0])
 UNCAPPED_REPORTS = 1800
-UNCAPPED_SHA256 = "40d49a2d1800ad61f9c54b5472a7fbfc8d1a086f1ee275e9cacda5f535ccae2e"
+UNCAPPED_SHA256 = "b2e1ce27d0f9fe6bdaf1ac52e65dd5807dbae2e5c1b1427159f6cb727975c590"
 
 ROOT = Path(__file__).resolve().parent.parent
-CORPUS_TOTAL = "reports 31707 sha256 a5e908582a2d1e71a7ff00bd62a5ba27b6412d47d714ecaf7f2b9f5cb92cdeba"
+CORPUS_TOTAL = "reports 31707 sha256 f0842a2929fdf85c1d736b1498f3a7dc8ab06cbe77eb10e0999ad8d887d9755d"
 
 
 def _digest(runs, caps=(None, 7), stats=True):
