@@ -6,8 +6,8 @@ modes and both fidelities (the package's repaired searches, and the
 uncorrected ``literal`` ones that ``tests/literal_reference.py`` keeps), once
 uncapped and once with ``max_triples=7``. Each report's ``to_dict`` goes to
 one JSON line. The script prints the number of reports and the SHA-256 of the
-whole stream, then the same for each (engine, fidelity) group, then for the uncapped repaired ``scp`` and ``stp`` reports
-with their ``stats`` dropped. Two commits whose digests match gave
+whole stream, then the same for each (engine, fidelity) group, then for the
+uncapped repaired ``scp`` and ``stp`` reports with their ``stats`` dropped. Two commits whose digests match gave
 byte-identical reports on the corpus; the group lines show which reports a
 change moved. Two groups outside the total follow. The verify group
 classifies and simulates a fixed seeded batch of random criterion programs on
@@ -48,8 +48,7 @@ MINERS = (
     ("stp", 3, mine_exact_stp),
     ("stp", 3, mine_feasible_stp),
 )
-# fidelity -> the miner it runs for a package miner
-FIDELITIES = {"repaired": lambda miner: miner, "literal": literal}
+FIDELITIES = ("repaired", "literal")
 STATS_FREE = {engine: f"{engine} repaired uncapped, no stats" for engine in ("scp", "stp")}
 VERIFY = "stp classify and simulate, random programs"
 EDGE_ARRAYS = "seeds 1000-1029 on edge arrays"
@@ -111,10 +110,10 @@ def instance(seed, extra_dims, edge_arrays=False):
 def report_lines(seed, extra_dims, g, S, T):
     """(engine, head, report dict) per mined report; head names the run."""
     for engine, max_len, miner in MINERS:
-        for fidelity, wrap in FIDELITIES.items():
+        for fidelity, run in zip(FIDELITIES, (miner, literal(miner))):
             for max_triples in (None, 7):
                 cfg = MiningConfig(max_len=max_len, max_triples=max_triples)
-                for rep in wrap(miner)(g, S, T, cfg):
+                for rep in run(g, S, T, cfg):
                     yield engine, [seed, extra_dims, fidelity, max_triples], rep.to_dict(g)
 
 

@@ -4,7 +4,6 @@ Each test prints a single [PASS]/[FAIL] line naming the property and the
 numbers behind it, then asserts. Thresholds are pinned inline.
 """
 
-import json
 import random
 import time
 
