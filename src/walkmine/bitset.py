@@ -43,12 +43,11 @@ class VertexSet:
 
     @classmethod
     def from_ids(cls, size: int, ids: Iterable[int]) -> "VertexSet":
-        m = 0
+        ids = list(ids)
         for i in ids:
             if not 0 <= i < size:
                 raise ValueError(f"vertex id {i} outside universe of size {size}")
-            m |= 1 << i
-        return cls(size, m)
+        return cls(size, mask_of(ids))
 
     @classmethod
     def single(cls, size: int, i: int) -> "VertexSet":

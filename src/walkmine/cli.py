@@ -63,20 +63,13 @@ def _vertex_set(g: DirectedGraph, file_arg, ids_arg, what: str) -> VertexSet:
     if (file_arg is None) == (ids_arg is None):
         raise CliError(f"provide exactly one of --{what} and --{what}-ids")
     if file_arg is not None:
-        try:
-            vs = parse_vertex_set(_read_text(file_arg), g)
-        except GraphFormatError as e:
-            raise CliError(f"{file_arg}: {e}") from None
-    else:
-        ids = []
-        for name in ids_arg.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if not g.has_vertex(name):
-                raise CliError(f"unknown vertex {name!r} in --{what}-ids")
-            ids.append(g.vertex_id(name))
-        vs = VertexSet.from_ids(g.n, ids)
+        where, text = file_arg, _read_text(file_arg)
+    else:  # an inline list is read as a vertex file of one name per item
+        where, text = f"--{what}-ids", ids_arg.replace(",", "\n")
+    try:
+        vs = parse_vertex_set(text, g)
+    except GraphFormatError as e:
+        raise CliError(f"{where}: {e}") from None
     if not vs:
         raise CliError(f"the {what} set must be nonempty")
     return vs
@@ -268,8 +261,15 @@ def _add_graph_args(p, with_sets=True):
         p.add_argument("--target-ids", help="inline comma-separated target vertex ids")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad option as a CliError; its sub-parsers are of its class."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walkmine",
         description="Mine, verify and simulate deterministic graph-walking programs.",
     )
@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -146,11 +146,28 @@ class _VertexTable:
 
 
 @dataclass(frozen=True, slots=True)  # slots: a field read is one specialised load
-class _Colors:
-    names: tuple[str, ...]  # a graph's colours in first-occurrence order; a colour's id is its index
-    ids: dict[str, int]
-    of: tuple[int, ...]  # colour id of each vertex, -1 where it has none
-    masks: tuple[int, ...]  # mask of each colour's class
+class _Classes:
+    keys: tuple  # the class keys in first-occurrence order; a class's id is its index
+    ids: dict  # class id of each key
+    of: tuple[int, ...]  # class id of each vertex, -1 where its key is None
+    masks: tuple[int, ...]  # mask of each class
+
+
+def _classes(keys: Sequence) -> _Classes:
+    """The vertices grouped by key, ``keys[v]`` being vertex v's; a None key joins no class."""
+    ids: dict = {}
+    of = [-1 if key is None else ids.setdefault(key, len(ids)) for key in keys]
+    # each class's bits set in a byte buffer, read as one int: linear in n,
+    # where OR-ing 1 << v into a growing int is quadratic; walking from the
+    # end, a buffer is made at its class's last member, so it is no larger
+    # than the mask it becomes
+    bufs: list = [None] * len(ids)
+    for v in reversed(range(len(of))):
+        if (c := of[v]) >= 0:
+            if bufs[c] is None:
+                bufs[c] = bytearray((v >> 3) + 1)
+            bufs[c][v >> 3] |= 1 << (v & 7)
+    return _Classes(tuple(ids), ids, tuple(of), tuple(int.from_bytes(buf, "little") for buf in bufs))
 
 
 class DirectedGraph(_VertexTable):
@@ -207,10 +224,9 @@ class DirectedGraph(_VertexTable):
             self.num_edges = len(pairs)
             self._out_masks = out
             self._in_masks = inc
-        # filled by _intern_colors on first use
-        self._colors: Optional[_Colors] = None
-        # vertex -> mask of its feature-vector class, filled by twins
-        self._twin_masks: Optional[list[int]] = None
+        # the colour and the feature-vector classes, grouped on first use
+        self._colors: Optional[_Classes] = None
+        self._vectors: Optional[_Classes] = None
         # criterion atom -> mask of the vertices satisfying it, filled by
         # criterion.criterion_mask
         self._atom_masks: dict = {}
@@ -227,15 +243,13 @@ class DirectedGraph(_VertexTable):
 
     def twins(self, mask: int) -> int:
         """The vertices sharing a feature vector with some vertex of ``mask``:
-        one hop per vector class, over one mask per class built on first use."""
-        if self._twin_masks is None:
-            classes: dict = {}
-            for v, row in enumerate(self.rows):
-                classes[row] = classes.get(row, 0) | 1 << v
-            self._twin_masks = [classes[row] for row in self.rows]
+        one hop per vector class."""
+        if self._vectors is None:
+            self._vectors = _classes(self.rows)
+        of, masks = self._vectors.of, self._vectors.masks
         out = 0
         while mask:
-            out |= self._twin_masks[(mask & -mask).bit_length() - 1]
+            out |= masks[of[(mask & -mask).bit_length() - 1]]
             mask &= ~out
         return out
 
@@ -260,27 +274,14 @@ class DirectedGraph(_VertexTable):
 
     # -- colours ----------------------------------------------------------
 
-    def _intern_colors(self) -> _Colors:
+    def _intern_colors(self) -> _Classes:
         dim = self.schema.color_index(self.color_dim)
-        ids: dict[str, int] = {}
-        of = [-1 if row[dim] is None else ids.setdefault(row[dim], len(ids)) for row in self.rows]
-        # each class's bits set in a byte buffer, read as one int: linear in n,
-        # where OR-ing 1 << v into a growing int is quadratic; walking from the
-        # end, a buffer is made at its class's last member, so it is no larger
-        # than the mask it becomes
-        bufs: list = [None] * len(ids)
-        for v in reversed(range(self.n)):
-            if (c := of[v]) >= 0:
-                if bufs[c] is None:
-                    bufs[c] = bytearray((v >> 3) + 1)
-                bufs[c][v >> 3] |= 1 << (v & 7)
-        masks = tuple(int.from_bytes(buf, "little") for buf in bufs)
-        self._colors = _Colors(tuple(ids), ids, tuple(of), masks)
+        self._colors = _classes([row[dim] for row in self.rows])
         return self._colors
 
     @property
     def color_names(self) -> tuple[str, ...]:
-        return (self._colors or self._intern_colors()).names
+        return (self._colors or self._intern_colors()).keys
 
     @property
     def num_colors(self) -> int:

@@ -324,6 +324,35 @@ def test_simulation_scales_linearly(announce):
     )
 
 
+def test_vertex_classes_scale_linearly(announce):
+    # rows only, no edges: four colours, which an ordered column splits into
+    # twelve feature-vector classes
+    schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("w", ORDERED)))
+    uses = {"twins": lambda g: g.twins(1), "colour classes": lambda g: g.color_mask(0)}
+
+    def first_uses(n):
+        """The best of 3 first-use times of each of ``uses`` on an n-vertex graph."""
+        names, rows = [f"v{v}" for v in range(n)], [(f"c{v % 4}", v % 3) for v in range(n)]
+        best = dict.fromkeys(uses, float("inf"))
+        for _ in range(3):
+            g = DirectedGraph(schema, names, rows, [])
+            for name, use in uses.items():
+                start = time.perf_counter()
+                use(g)
+                best[name] = min(best[name], time.perf_counter() - start)
+        return best
+
+    small, large = first_uses(25_000), first_uses(200_000)
+    ratios = {name: large[name] / small[name] for name in uses}
+    announce(
+        "vertex classes scale linearly",
+        all(r <= 16 for r in ratios.values()),
+        ", ".join(f"{name} {small[name] * 1000:.1f} → {large[name] * 1000:.1f} ms ({ratios[name]:.1f}×)"
+                  for name in uses)
+        + " from 25k to 200k vertices (limit 16× = linear growth of 8× with factor-2 tolerance)",
+    )
+
+
 def test_reconstructed_walkthrough_fixtures(fourstep, threestep, twofeature, announce):
     problems = []
 

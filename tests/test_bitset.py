@@ -35,6 +35,9 @@ def test_single_and_full():
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         VertexSet.from_ids(4, [4])
+    # a generator is read once; the first bad id is the one named
+    with pytest.raises(ValueError, match=r"^vertex id 5 outside universe of size 4$"):
+        VertexSet.from_ids(4, (i for i in (1, 5, -1, 7)))
     with pytest.raises(ValueError):
         VertexSet(3, 0b1000)
     with pytest.raises(ValueError):

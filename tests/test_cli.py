@@ -337,16 +337,25 @@ def test_unwritable_output_exits_two(capsys, tmp_path, argv):
         # the uncorrected searches are no longer offered
         (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
           "--max-len", "2", "--fidelity", "literal"), "unrecognized arguments: --fidelity literal"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "2", "--bogus"), "unrecognized arguments: --bogus"),
+        (("mine", "--graph", FUNNEL, "--source", FUNNEL_SOURCE, "--target", FUNNEL_TARGET,
+          "--max-len", "x"), "invalid int value: 'x'"),
+        ((), "required: command"),
     ],
 )
 def test_input_errors_exit_two(capsys, argv, needle):
-    try:
-        code, prefix = main(list(argv)), "error:"
-    except SystemExit as exit:  # argparse prints its usage line, then the error
-        code, prefix = exit.code, "usage:"
+    # a bad option is reported as any other bad input: one line, no usage block
+    code = main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(prefix) and needle in err
+    assert err.startswith("error:") and needle in err and "usage:" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["mine", "--help"])
+    assert exit.value.code == 0 and capsys.readouterr().out.startswith("usage: walkmine mine")
 
 
 def test_default_color_dim_may_be_missing(capsys, tmp_path):

@@ -235,21 +235,34 @@ def test_color_masks_match_a_per_vertex_definition(monkeypatch):
         assert sum(map(g.color_mask, range(g.num_colors))) == ((1 << n) - 1) & ~uncoloured
 
 
-@pytest.mark.parametrize("n", [61, _DENSE_LIMIT + 61])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 61, 64, 65, _DENSE_LIMIT + 61])
 def test_per_vertex_label_colour_masks_match_or_ed_bits(n):
     # each vertex its own colour, every tenth uncoloured, and the last vertex
-    # sharing the first one's: a class's buffer ends at its last member
-    colours = [None if v % 10 == 3 else f"c{v}" for v in range(n)]
-    colours[-1] = colours[0]
-    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
-    g = DirectedGraph(schema, [f"v{v}" for v in range(n)], [(c,) for c in colours], [(v, (v + 1) % n) for v in range(n)])
-    assert g._vectorised == (n >= _DENSE_LIMIT)
-    want: dict = {}
-    for v, c in enumerate(colours):
-        if c is not None:
-            want[c] = want.get(c, 0) | 1 << v
-    assert {name: g.color_mask(g.color_id(name)) for name in g.color_names} == want
-    assert list(want) == list(g.color_names)
+    # sharing the first one's: a class's buffer ends at its last member; then
+    # three colours whose classes a second, ordered column splits into vector
+    # classes, a missing value among them
+    own = [None if v % 10 == 3 else f"c{v}" for v in range(n)]
+    own[-1:] = own[:1]
+    shapes = [
+        ((Dimension("color", CATEGORICAL),), [(c,) for c in own]),
+        ((Dimension("color", CATEGORICAL), Dimension("w", ORDERED)),
+         [(None if v % 10 == 3 else f"c{v % 3}", None if v % 7 == 5 else v % 4) for v in range(n)]),
+    ]
+    for dims, rows in shapes:
+        g = DirectedGraph(FeatureSchema(dims), [f"v{v}" for v in range(n)], rows, [(v, (v + 1) % n) for v in range(n)])
+        assert g._vectorised == (n >= _DENSE_LIMIT)
+        colours: dict = {}
+        vectors: dict = {}
+        for v, row in enumerate(rows):
+            if row[0] is not None:
+                colours[row[0]] = colours.get(row[0], 0) | 1 << v
+            vectors[row] = vectors.get(row, 0) | 1 << v
+        assert g.color_names == tuple(colours)
+        for cid, (name, mask) in enumerate(colours.items()):  # ids by first occurrence
+            assert g.color_id(name) == cid and g.color_mask(cid) == mask
+        assert [g.color_of(v) for v in range(n)] == [-1 if row[0] is None else g.color_id(row[0]) for row in rows]
+        assert [g.twins(1 << v) for v in range(n)] == [vectors[row] for row in rows]
+        assert g.twins((1 << n) - 1) == (1 << n) - 1 and g.twins(0) == 0
 
 
 def test_both_layouts_build_the_same_graph(monkeypatch):
@@ -433,13 +446,13 @@ def test_twins_compare_vectors_as_tuples():
 def test_vector_map_is_built_on_first_use_only():
     inst = random_instance(1003, extra_dims=2)
     g = load_graph(serialize_graph(inst.graph))
-    assert g._twin_masks is None
+    assert g._vectors is None
     for miner in (mine_exact_scp, mine_feasible_scp):
         for run in (miner, literal(miner)):
             list(run(g, inst.source, inst.target, MiningConfig(max_len=4)))
-    assert g._twin_masks is None
+    assert g._vectors is None
     g.twins(1)
-    assert g._twin_masks is not None
+    assert g._vectors is not None
 
 
 # -- vertex sets of another universe -------------------------------------------------
