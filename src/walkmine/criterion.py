@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import cache
+from functools import cache, reduce
 from typing import Sequence, Union
 
 from .bitset import iter_bits, mask_of
@@ -58,6 +58,10 @@ class _Junction(tuple):
         items = tuple(items)
         if not items:
             raise ValueError(f"empty {cls._noun}")
+        # the graph's caches match junctions by value, so items must be criteria
+        for item in items:
+            if not isinstance(item, (Atom, _Junction)):
+                raise TypeError(f"not a criterion: {item!r}")
         return tuple.__new__(cls, (cls._tag, items))
 
     items = property(operator.itemgetter(1))
@@ -109,28 +113,24 @@ def _atom_mask(rows: Sequence[Sequence], d: int, op: str, value) -> int:
 def criterion_mask(g: DirectedGraph, crit: Criterion) -> int:
     """Mask of the vertices of ``g`` whose feature vectors satisfy ``crit``.
 
-    Each atom's mask is built in one pass over ``g.rows`` the first time it
-    is asked for and cached on the graph; conjunctions and disjunctions fold
-    their items' masks with ``&`` and ``|``.
+    Every criterion is evaluated once per graph and its mask cached on the
+    graph: an atom in one pass over ``g.rows``, a conjunction or disjunction
+    by folding its items' masks, each read through this cache, with ``&``
+    or ``|``. A failed evaluation caches nothing.
     """
-    if isinstance(crit, Atom):
-        mask = g._atom_masks.get(crit)
-        if mask is None:
+    if not isinstance(crit, (Atom, _Junction)):
+        raise TypeError(f"not a criterion: {crit!r}")
+    mask = g._criterion_masks.get(crit)
+    if mask is None:
+        if isinstance(crit, Atom):
             if not 0 <= crit.dim < len(g.schema):
                 raise ValueError(f"criterion references dimension {crit.dim} outside the schema")
-            mask = g._atom_masks[crit] = _atom_mask(g.rows, crit.dim, crit.op, crit.value)
-        return mask
-    if isinstance(crit, AllOf):
-        mask = (1 << g.n) - 1
-        for item in crit.items:
-            mask &= criterion_mask(g, item)
-        return mask
-    if isinstance(crit, AnyOf):
-        mask = 0
-        for item in crit.items:
-            mask |= criterion_mask(g, item)
-        return mask
-    raise TypeError(f"not a criterion: {crit!r}")
+            mask = _atom_mask(g.rows, *crit)
+        else:
+            fold = operator.and_ if isinstance(crit, AllOf) else operator.or_
+            mask = reduce(fold, (criterion_mask(g, item) for item in crit.items))
+        g._criterion_masks[crit] = mask
+    return mask
 
 
 class InseparableError(ValueError):

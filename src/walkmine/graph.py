@@ -227,9 +227,9 @@ class DirectedGraph(_VertexTable):
         # the colour and the feature-vector classes, grouped on first use
         self._colors: Optional[_Classes] = None
         self._vectors: Optional[_Classes] = None
-        # criterion atom -> mask of the vertices satisfying it, filled by
+        # criterion -> mask of the vertices satisfying it, filled by
         # criterion.criterion_mask
-        self._atom_masks: dict = {}
+        self._criterion_masks: dict = {}
         # criterion -> its criterion_key, filled by TosetProgram.key
         self._criterion_keys: dict = {}
 

@@ -18,8 +18,7 @@ FEASIBLE = "feasible"
 
 _STATS = {
     "scp": ("triples_expanded", "pseudo_bases", "dedup_hits"),
-    # "inseparable" reads 0 in the backward search; it stays so stp's stats keep their keys
-    "stp": ("chains_expanded", "pseudo_bases", "dedup_hits", "inseparable"),
+    "stp": ("chains_expanded", "pseudo_bases", "dedup_hits"),
 }
 
 

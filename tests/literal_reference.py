@@ -135,21 +135,22 @@ def stp_searches(g, S: int, T: int, mode):
     return [search]
 
 
-# package miner -> (engine, mode, empty program, uncorrected searches)
+# package miner -> (engine, mode, empty program, uncorrected searches, extra stats);
+# only the uncorrected criterion search meets inseparable chains, so only it counts them
 _LITERAL = {
-    mine_exact_scp: ("scp", EXACT, (), scp_searches),
-    mine_feasible_scp: ("scp", FEASIBLE, (), scp_searches),
-    mine_exact_stp: ("stp", EXACT, TosetProgram(()), stp_searches),
-    mine_feasible_stp: ("stp", FEASIBLE, TosetProgram(()), stp_searches),
+    mine_exact_scp: ("scp", EXACT, (), scp_searches, ()),
+    mine_feasible_scp: ("scp", FEASIBLE, (), scp_searches, ()),
+    mine_exact_stp: ("stp", EXACT, TosetProgram(()), stp_searches, ("inseparable",)),
+    mine_feasible_stp: ("stp", FEASIBLE, TosetProgram(()), stp_searches, ("inseparable",)),
 }
 
 
 def literal(miner):
     """``miner``'s uncorrected twin, with the same signature and report stream shape."""
-    engine, mode, empty, make_searches = _LITERAL[miner]
+    engine, mode, empty, make_searches, extra_stats = _LITERAL[miner]
 
     def mine(g, source, target, config):
-        return run_levels(g, source, target, config, engine, mode, empty, make_searches)
+        return run_levels(g, source, target, config, engine, mode, empty, make_searches, extra_stats)
 
     mine.__name__ = f"{miner.__name__}-literal"
     return mine

@@ -58,11 +58,15 @@ def test_non_criteria_are_rejected():
     red = g.rows[0][0]
     # cache criteria equal to the plain tuples below on the graph first
     criterion_mask(g, Atom(0, "=", red))
+    criterion_mask(g, AllOf((Atom(0, "=", red),)))
     TosetProgram((Atom(0, "=", red), AllOf((Atom(0, "=", red),)))).key(g)
     calls = [
         lambda: satisfies(("red",), "color = red"),
         lambda: criterion_mask(g, ("color", "=", "red")),
         lambda: criterion_to_dict(None, CN),
+        # junctions over plain tuples equal to cached criteria
+        lambda: AllOf(((0, "=", red),)),
+        lambda: AnyOf((Atom(0, "=", red), ("all", (Atom(0, "=", red),)))),
     ]
     # plain tuples equal to criteria are still no criteria
     for crit in ((0, "=", red), ("all", (Atom(0, "=", red),))):
@@ -438,6 +442,11 @@ def test_criterion_mask_agrees_with_satisfies(dense):
 
 def test_criterion_mask_rejects_dimensions_outside_the_schema():
     g = random_instance(3000, extra_dims=1).graph
+    good = Atom(0, "=", None)
+    criterion_mask(g, good)
     for dim in (-1, 2):
-        with pytest.raises(ValueError, match="outside the schema"):
-            criterion_mask(g, AnyOf((Atom(0, "=", None), Atom(dim, "=", None))))
+        for junction in (AnyOf, AllOf):
+            crit = junction((good, Atom(dim, "=", None)))
+            for _ in range(2):  # a failed fold caches nothing
+                with pytest.raises(ValueError, match="outside the schema"):
+                    criterion_mask(g, crit)

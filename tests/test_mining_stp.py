@@ -38,7 +38,6 @@ def test_funnel_frozen_program(funnel):
         "chains_expanded": 3,
         "pseudo_bases": 2,
         "dedup_hits": 0,
-        "inseparable": 0,
     }
     cls = classify_stp(g, S, T, p)
     assert cls.kind == "exact" and cls.partial_halt_steps == ()

@@ -36,14 +36,14 @@ SHA256 = "5472851f0fa095194b23dfd357425b0b50aa90d1f05897135de129321fc4f1f6"
 
 STP_RUNS = (("repaired", 3, (mine_exact_stp, mine_feasible_stp)),)
 STP_REPORTS = 1590
-STP_SHA256 = "b2c04930bdb4e2cd77f40929a467901da825b3c28990a9a2472ec737ba2d2625"
+STP_SHA256 = "d39d59e0392f8acb919fac206d92b6148afe71096115e393db89b1f1953ba5fa"
 
 UNCAPPED_RUNS = (RUNS[0], STP_RUNS[0])
 UNCAPPED_REPORTS = 1800
 UNCAPPED_SHA256 = "b2e1ce27d0f9fe6bdaf1ac52e65dd5807dbae2e5c1b1427159f6cb727975c590"
 
 ROOT = Path(__file__).resolve().parent.parent
-CORPUS_TOTAL = "reports 31707 sha256 f0842a2929fdf85c1d736b1498f3a7dc8ab06cbe77eb10e0999ad8d887d9755d"
+CORPUS_TOTAL = "reports 31707 sha256 106578aec993802d32c73f85a606455d074f75532459eae5c4b8e2e1e356fcd7"
 
 
 def _digest(runs, caps=(None, 7), stats=True):

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import color_graph, feature_graph, vs
 from walkmine import criterion
-from walkmine.criterion import AllOf, Atom, criterion_from_dict, criterion_mask
+from walkmine.criterion import AllOf, AnyOf, Atom, criterion_from_dict, criterion_mask
 from walkmine.stp import (
     TosetProgram,
     classify_stp,
@@ -59,6 +59,10 @@ def test_atom_masks_stay_with_their_graph():
     assert criterion_mask(g, red) == vs(g, "a", "b").mask
     assert criterion_mask(recoloured, red) == vs(recoloured, "a", "c").mask
     assert criterion_mask(g, red) == vs(g, "a", "b").mask
+    red_or_green = AnyOf((red, Atom(0, "=", "green")))
+    assert criterion_mask(g, red_or_green) == vs(g, "a", "b", "t").mask
+    assert criterion_mask(recoloured, red_or_green) == vs(recoloured, "a", "c", "t").mask
+    assert criterion_mask(g, red_or_green) == vs(g, "a", "b", "t").mask
     S = vs(g, "s1", "s2")
     assert simulate_stp(g, S, (red,))[-1] == vs(g, "a", "b")
     assert simulate_stp(recoloured, S, (red,))[-1] == vs(recoloured, "a")
@@ -74,16 +78,48 @@ def test_programs_parsed_apart_share_their_atom_masks(monkeypatch):
         return atom_mask(rows, d, op, value)
 
     monkeypatch.setattr(criterion, "_atom_mask", counted)
+    # stp reads criterion_mask through its own import, so this counts only
+    # the items that junctions fold
+    folded = []
+    mask = criterion.criterion_mask
+
+    def counted_item(g, crit):
+        folded.append(crit)
+        return mask(g, crit)
+
+    monkeypatch.setattr(criterion, "criterion_mask", counted_item)
     red = {"atom": {"f": "color", "op": "=", "v": "red"}}
     low = {"atom": {"f": "n", "op": "<=", "v": 3}}
     green = {"atom": {"f": "color", "op": "=", "v": "green"}}
-    docs = ([{"all": [red, low]}, green], [{"any": [red, low]}, {"any": [green, low]}])
+    docs = ([{"all": [red, low]}, green], [{"any": [red, low]}, {"any": [green, low]}]) * 2
     programs = [TosetProgram(criterion_from_dict(step, g.schema) for step in doc) for doc in docs]
     assert programs[0].steps[0].items[0] is not programs[1].steps[0].items[0]
+    assert programs[0] == programs[2] and programs[0].steps[0] is not programs[2].steps[0]
     S = vs(g, "s")
-    assert classify_stp(g, S, vs(g, "t1"), programs[0]).kind == "exact"
-    assert classify_stp(g, S, vs(g, "t1", "t2"), programs[1]).kind == "exact"
+    for program, T in zip(programs, (vs(g, "t1"), vs(g, "t1", "t2")) * 2):
+        assert classify_stp(g, S, T, program).kind == "exact"
     assert sorted(built) == [(0, "=", "green"), (0, "=", "red"), (1, "<=", 3)]
+    assert len(folded) == 6  # three distinct junctions of two items, each folded once
+
+
+def test_cached_criteria_make_no_nested_call(monkeypatch):
+    g = two_dim_graph()
+    nested = []
+    mask = criterion.criterion_mask
+
+    def counted(g, crit):
+        nested.append(crit)
+        return mask(g, crit)
+
+    monkeypatch.setattr(criterion, "criterion_mask", counted)
+    red, low = Atom(0, "=", "red"), Atom(1, "<=", 3)
+    # red & (low | red) is red; low | (red & low) is low
+    for crit, names in ((AllOf((red, AnyOf((low, red)))), ("a1", "a2")),
+                        (AnyOf((low, AllOf((red, low)))), ("s", "a1", "t1"))):
+        assert mask(g, crit) == vs(g, *names).mask
+        made = len(nested)
+        assert made > 0
+        assert mask(g, crit) == vs(g, *names).mask and len(nested) == made
 
 
 def test_simulate_matches_colour_walk():
