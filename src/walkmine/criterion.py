@@ -20,7 +20,7 @@ from functools import cache, reduce
 from typing import Sequence, Union
 
 from .bitset import iter_bits, mask_of
-from .graph import ORDERED, DirectedGraph, FeatureSchema, _bad_value
+from .graph import ORDERED, DirectedGraph, FeatureSchema, _bad_value, _classes
 
 OPS = ("<", "<=", "=", ">=", ">")
 _ORDER = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
@@ -239,17 +239,38 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
 def criterion_memo(g: DirectedGraph):
     """``step(B, M, E)``: the criterion separating the vertex masks B and E of ``g``.
 
-    ``step`` returns ``None`` when B and E share a feature vector. Each
-    distinct (B, M, E) triple is synthesised once and its result kept for as
-    long as ``step`` lives, so a search makes one memo per mining run.
+    ``step`` returns ``None`` when B and E share a feature vector. Synthesis
+    reads a side only through its distinct rows in vertex order, so a side's
+    key is the classes of rows meeting it, by first member there. Rows group
+    by spelling (``repr``), not by ``==``, which merges ``1`` with ``1.0`` and
+    ``0.0`` with ``-0.0``. Each distinct key triple is synthesised once per
+    ``step``, one per mining run; the classes are grouped on its first call.
     """
+    classes = None
+
+    def key(mask: int) -> tuple:
+        """The ids of the classes meeting ``mask``: one hop per class."""
+        of, masks = classes.of, classes.masks
+        out = []
+        while mask:
+            c = of[(mask & -mask).bit_length() - 1]
+            out.append(c)
+            mask &= ~masks[c]
+        return tuple(out)
 
     @cache
-    def step(B: int, M: int, E: int):
+    def synthesise(b: tuple, m: tuple, e: tuple):
+        keys = classes.keys  # (spelling, row) of each class
         try:
-            return compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
+            return compute_criterion(*([keys[c][1] for c in side] for side in (b, m, e)), g.schema)
         except InseparableError:
             return None
+
+    def step(B: int, M: int, E: int):
+        nonlocal classes
+        if classes is None:
+            classes = _classes([(repr(row), row) for row in g.rows])
+        return synthesise(key(B), key(M), key(E))
 
     return step
 

@@ -238,9 +238,6 @@ class DirectedGraph(_VertexTable):
     def vector(self, v: int) -> tuple:
         return self.rows[v]
 
-    def vectors(self, mask: int) -> list[tuple]:
-        return [self.rows[v] for v in iter_bits(mask)]
-
     def twins(self, mask: int) -> int:
         """The vertices sharing a feature vector with some vertex of ``mask``:
         one hop per vector class."""

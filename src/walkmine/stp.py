@@ -7,7 +7,8 @@ backward search over states (p, B, M), p a criterion suffix. Its hooks name
 B's feature-vector twins (:meth:`DirectedGraph.twins`) as the vertices a step
 keeping B also keeps, split pools into feature-vector classes, and label a
 step with the criterion that separates B from the vertices a run could leak
-to, synthesised once per distinct input in a run.
+to, synthesised once per run for each distinct tuple of the row classes its
+three sides meet (:func:`walkmine.criterion.criterion_memo`).
 """
 
 from __future__ import annotations

@@ -22,7 +22,9 @@ from walkmine import (
     simulate_scp,
     simulate_stp,
 )
+from walkmine.bitset import iter_bits
 from walkmine.generate import layered_graph, random_instance
+from walkmine.graph import CATEGORICAL, ORDERED, Dimension, DirectedGraph, FeatureSchema
 
 ATOM = lambda f, op, v: {"atom": {"f": f, "op": op, "v": v}}
 
@@ -161,21 +163,30 @@ def _record_synthesis(monkeypatch):
     return calls, inputs
 
 
+def _class_keys(g, inputs) -> set:
+    """The distinct synthesis inputs among the (B, M, E) masks ``inputs``: each
+    side as the spellings of its rows, once each, in vertex order."""
+    return {tuple(tuple(dict.fromkeys(repr(g.rows[v]) for v in iter_bits(side))) for side in masks)
+            for masks in inputs}
+
+
 def test_criteria_synthesised_once_per_state(monkeypatch):
-    """Each step criterion is built once per distinct (B, M, E) input in a run."""
+    """Each step criterion is built once per distinct class key in a run,
+    however many (B, M, E) masks share it."""
     g, S, T = _planted_layered()
     calls, inputs = _record_synthesis(monkeypatch)
     _count_calls(monkeypatch, walkmine.stp, "classify_stp", calls)
     reports = list(mine_exact_stp(g, S, T, MiningConfig(max_len=5)))
     assert [len(r.programs) for r in reports] == [0, 0, 0, 0, 0, 1]
     assert all(r.exhausted for r in reports)
-    assert 0 < calls["compute_criterion"] == len(set(inputs))
+    assert calls["compute_criterion"] == len(_class_keys(g, inputs)) == 3
+    assert len(set(inputs)) == 98
     assert calls["classify_stp"] == 0  # programs are accepted by construction
 
 
 def test_criteria_come_back_across_lengths(monkeypatch):
     """The repaired search restarts at each length and meets the same inputs
-    again; each run still synthesises each distinct input once."""
+    again; each run still synthesises each distinct class key once."""
     calls, inputs = _record_synthesis(monkeypatch)
     asked = built = 0
     for seed in range(1000, 1030):
@@ -184,7 +195,7 @@ def test_criteria_come_back_across_lengths(monkeypatch):
             calls.clear()
             inputs.clear()
             list(miner(inst.graph, inst.source, inst.target, MiningConfig(max_len=3)))
-            assert calls["compute_criterion"] == len(set(inputs))
+            assert calls["compute_criterion"] == len(_class_keys(inst.graph, inputs))
             asked, built = asked + len(inputs), built + calls["compute_criterion"]
     assert 0 < built < asked
 
@@ -228,7 +239,7 @@ def _unmemoised(g):
 
     def step(B, M, E):
         try:
-            return compute_criterion(g.vectors(B), g.vectors(M), g.vectors(E), g.schema)
+            return compute_criterion(*([g.rows[v] for v in iter_bits(side)] for side in (B, M, E)), g.schema)
         except InseparableError:
             return None
 
@@ -257,6 +268,32 @@ def test_memo_matches_unmemoised_synthesis(monkeypatch):
     monkeypatch.setattr(walkmine.stp, "criterion_memo", _unmemoised)
     monkeypatch.setattr(literal_reference, "criterion_memo", _unmemoised)
     assert _criterion_reports() == memoised
+
+
+def _mixed_spelling_reports() -> list[str]:
+    """Exact and feasible criterion reports, one JSON line each, on layered
+    graphs whose ordered ``x`` mixes 1 with 1.0 and 0.0 with -0.0 within a
+    vector class."""
+    schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("x", ORDERED)))
+    docs = []
+    for seed in range(40):
+        base = layered_graph([5] * 4, ["red", "green"], 2, seed)
+        rng = random.Random(seed)
+        rows = [row + (rng.choice((0.0, -0.0, 1, 1.0, 2, 2.0, 3)),) for row in base.rows]
+        g = DirectedGraph(schema, base.names, rows, base.edges())
+        S, T = g.vertex_set(range(5)), g.vertex_set(range(15, 20))
+        for miner in (mine_exact_stp, mine_feasible_stp):
+            docs.extend(json.dumps(rep.to_dict(g)) for rep in miner(g, S, T, MiningConfig(max_len=3)))
+    return docs
+
+
+def test_memo_keeps_each_sides_spelling(monkeypatch):
+    """A criterion prints the spellings its own side's rows use: compared as
+    JSON, where 1 and 1.0 differ, the memoised reports equal the unmemoised."""
+    memoised = _mixed_spelling_reports()
+    assert any('"v": 1.0' in doc for doc in memoised) and any('"v": -0.0' in doc for doc in memoised)
+    monkeypatch.setattr(walkmine.stp, "criterion_memo", _unmemoised)
+    assert _mixed_spelling_reports() == memoised
 
 
 def test_program_hashes_and_compares_in_c():
