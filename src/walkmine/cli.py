@@ -52,13 +52,6 @@ def _load_graph(args):
     return g
 
 
-def _load_simple_graph(args) -> DirectedGraph:
-    g = _load_graph(args)
-    if isinstance(g, MultiGraph):
-        raise CliError(f"{args.graph} is a multigraph; run 'convert' first")
-    return g
-
-
 def _vertex_set(g: DirectedGraph, file_arg, ids_arg, what: str) -> VertexSet:
     if (file_arg is None) == (ids_arg is None):
         raise CliError(f"provide exactly one of --{what} and --{what}-ids")
@@ -73,6 +66,17 @@ def _vertex_set(g: DirectedGraph, file_arg, ids_arg, what: str) -> VertexSet:
     if not vs:
         raise CliError(f"the {what} set must be nonempty")
     return vs
+
+
+def _load_instance(args, need_target=True):
+    """The simple graph, source set and target set (None if optional and not given)."""
+    g = _load_graph(args)
+    if isinstance(g, MultiGraph):
+        raise CliError(f"{args.graph} is a multigraph; run 'convert' first")
+    source = _vertex_set(g, args.source, args.source_ids, "source")
+    if not need_target and args.target is None and args.target_ids is None:
+        return g, source, None
+    return g, source, _vertex_set(g, args.target, args.target_ids, "target")
 
 
 def _program_text(arg: str) -> str:
@@ -125,9 +129,7 @@ _ENGINES = {"scp": (_parse_scp_program, classify_scp, simulate_scp,
 
 
 def _cmd_mine(args) -> int:
-    g = _load_simple_graph(args)
-    source = _vertex_set(g, args.source, args.source_ids, "source")
-    target = _vertex_set(g, args.target, args.target_ids, "target")
+    g, source, target = _load_instance(args)
     config = MiningConfig(
         max_len=args.max_len,
         max_programs=args.max_programs,
@@ -177,9 +179,7 @@ def _print_classification(g, cls, program, output: str):
 
 
 def _cmd_verify(args) -> int:
-    g = _load_simple_graph(args)
-    source = _vertex_set(g, args.source, args.source_ids, "source")
-    target = _vertex_set(g, args.target, args.target_ids, "target")
+    g, source, target = _load_instance(args)
     parse, classify, _, _ = _ENGINES[args.engine]
     program = parse(g, _program_text(args.program))
     cls = classify(g, source, target, program)
@@ -191,11 +191,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g = _load_simple_graph(args)
-    source = _vertex_set(g, args.source, args.source_ids, "source")
-    target = None
-    if args.target is not None or args.target_ids is not None:
-        target = _vertex_set(g, args.target, args.target_ids, "target")
+    g, source, target = _load_instance(args, need_target=False)
     parse, _, simulate, _ = _ENGINES[args.engine]
     program = parse(g, _program_text(args.program))
     trace = simulate(g, source, program)
@@ -259,6 +255,7 @@ def _add_graph_args(p, with_sets=True):
         p.add_argument("--source-ids", help="inline comma-separated source vertex ids")
         p.add_argument("--target", help="file of target vertex ids, one per line")
         p.add_argument("--target-ids", help="inline comma-separated target vertex ids")
+        p.add_argument("--engine", choices=("scp", "stp"), default="scp")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="search for programs leading from source to target")
     _add_graph_args(p)
-    p.add_argument("--engine", choices=("scp", "stp"), default="scp")
     p.add_argument("--mode", choices=("exact", "feasible"), default="exact")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--max-programs", type=int)
@@ -288,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="classify a given program on an instance")
     _add_graph_args(p)
-    p.add_argument("--engine", choices=("scp", "stp"), default="scp")
     p.add_argument("--program", required=True,
                    help="colour list 'red,green', criterion JSON, or @file")
     p.add_argument("--expect", choices=("exact", "feasible", "infeasible", "complete_halt"))
@@ -297,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="print the endpoint trace of a program")
     _add_graph_args(p)
-    p.add_argument("--engine", choices=("scp", "stp"), default="scp")
     p.add_argument("--program", required=True)
     p.add_argument("--output", choices=("json", "text", "dot"), default="text")
     p.set_defaults(func=_cmd_simulate)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -190,15 +192,22 @@ class DirectedGraph(_VertexTable):
         super().__init__(schema, names, rows, color_dim)
         n = self.n
         self._vectorised = n >= _DENSE_LIMIT
+        # both layouts read an edge as a pair of ids through operator.index:
+        # numpy integers are ids, floats and strings are not
         if self._vectorised:
             try:
-                pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+                ids = map(index, chain.from_iterable((s, d) for s, d in edges))
+                pairs = np.fromiter(ids, np.int64).reshape(-1, 2)
             except OverflowError as e:  # an id beyond int64 is no vertex either
                 raise ValueError(f"edge references unknown vertex: {e}") from None
             bad = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)].tolist()
         else:
             pairs = set(edges)
-            bad = [(s, d) for s, d in pairs if not (0 <= s < n and 0 <= d < n)]
+            bad = [(s, d) for s, d in pairs
+                   if not (type(s) is type(d) is int and 0 <= s < n and 0 <= d < n)]
+            if bad:  # some id is out of range or not a plain int
+                pairs = {(index(s), index(d)) for s, d in pairs}
+                bad = [(s, d) for s, d in pairs if not (0 <= s < n and 0 <= d < n)]
         if bad:
             s, d = min(map(tuple, bad))
             raise ValueError(f"edge ({s}, {d}) references unknown vertex")

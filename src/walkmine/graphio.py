@@ -163,10 +163,12 @@ def serialize_graph(g: Graph) -> str:
 
 
 def parse_vertex_set(text: str, g: DirectedGraph) -> VertexSet:
-    """Parse a newline-separated list of vertex ids into a set over ``g``."""
+    """Parse a newline-separated list of vertex ids into a set over ``g``. A line
+    names the vertex whose id is the line itself, if there is one, and else the
+    one whose id is the stripped line; a blank line names none."""
     ids = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        name = line.strip()
+        name = line if g.has_vertex(line) else line.strip()
         if not name:
             continue
         if not g.has_vertex(name):
@@ -176,7 +178,13 @@ def parse_vertex_set(text: str, g: DirectedGraph) -> VertexSet:
 
 
 def serialize_vertex_set(vs: VertexSet, g: DirectedGraph) -> str:
-    return "".join(g.names[v] + "\n" for v in vs)
+    """One id per line; ValueError for an id no line can hold: the empty id, or
+    one that ``str.splitlines`` breaks."""
+    names = [g.names[v] for v in vs]
+    for name in names:
+        if name.splitlines() != [name]:
+            raise ValueError(f"vertex id {name!r} cannot be written as one line")
+    return "".join(name + "\n" for name in names)
 
 
 def _dot_quote(s: str) -> str:

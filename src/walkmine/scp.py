@@ -104,28 +104,31 @@ def classify_scp(
 # -- predicate algebra --------------------------------------------------------
 
 
-def _image(g: DirectedGraph, amask: int, c: int) -> int:
-    return g.out_image(amask) & g.color_mask(c)
+def _image(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> int:
+    """The c-coloured out-image of A, once A and B are checked to be sets of g."""
+    g.check_universe(A, B)
+    return g.out_image(A.mask) & g.color_mask(c)
 
 
 def covers(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
     """Does the c-coloured out-image of A contain B?"""
-    return B.mask & ~_image(g, A.mask, c) == 0
+    return B.mask & ~_image(g, A, B, c) == 0
 
 
 def outspans(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
     """Does the c-coloured out-image of A leak outside B?"""
-    return _image(g, A.mask, c) & ~B.mask != 0
+    return _image(g, A, B, c) & ~B.mask != 0
 
 
 def injects(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
     """Is the c-coloured out-image of A nonempty and inside B?"""
-    img = _image(g, A.mask, c)
+    img = _image(g, A, B, c)
     return img != 0 and img & ~B.mask == 0
 
 
 def spans(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
-    return covers(g, A, B, c) and not outspans(g, A, B, c)
+    """Is the c-coloured out-image of A exactly B (it covers B and does not outspan it)?"""
+    return _image(g, A, B, c) == B.mask
 
 
 def enumerate_pseudo_bases(
@@ -137,6 +140,7 @@ def enumerate_pseudo_bases(
     union of per-member images stays in M exactly when each one does. Yields
     in lexicographic order of sorted member ids.
     """
+    g.check_universe(pool, B, M)
     if not B:
         raise ValueError("pseudo-bases are defined for nonempty B")
     cmask = g.color_mask(c)

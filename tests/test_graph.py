@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 import walkmine.graph as graphmod
@@ -28,7 +29,17 @@ from walkmine.graph import (
 from walkmine.graphio import load_graph, serialize_graph
 from walkmine.mining import MiningConfig
 from walkmine.oracle import count_walks, walk_traces
-from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp, simulate_scp
+from walkmine.scp import (
+    classify_scp,
+    covers,
+    enumerate_pseudo_bases,
+    injects,
+    mine_exact_scp,
+    mine_feasible_scp,
+    outspans,
+    simulate_scp,
+    spans,
+)
 from walkmine.stp import classify_stp, consistent, select_by_criterion, simulate_stp
 
 
@@ -267,7 +278,7 @@ def test_per_vertex_label_colour_masks_match_or_ed_bits(n):
 
 def test_both_layouts_build_the_same_graph(monkeypatch):
     rng = random.Random(5)
-    n = 40
+    n = 100  # above 64, where 1 << np.int64(d) wraps to 0
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(150)]
     pairs += pairs[:30]  # duplicate pairs, out of order
     schema = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
@@ -282,6 +293,7 @@ def test_both_layouts_build_the_same_graph(monkeypatch):
         "set": lambda: DirectedGraph(schema, names, rows, set(pairs)),
         "unsorted list with duplicates": lambda: DirectedGraph(schema, names, rows, pairs),
         "iterator": lambda: DirectedGraph(schema, names, rows, iter(pairs)),
+        "numpy integer ids": lambda: DirectedGraph(schema, names, rows, [(np.int64(s), np.int32(d)) for s, d in pairs]),
         "load_graph": lambda: load_graph(json.dumps(doc)),
     }
     expected_edges = tuple(sorted(set(pairs)))
@@ -319,6 +331,21 @@ def test_out_of_range_edge_is_named_alike_on_both_layouts(monkeypatch, edges, na
     # an id beyond int64 is out of range on the edge-array layout too
     with pytest.raises(ValueError, match="references unknown vertex"):
         DirectedGraph(schema, names, rows, [(0, 2**70)])
+
+
+@pytest.mark.parametrize(
+    "edge, error",
+    [((0, 1.5), TypeError), ((0, "1"), TypeError), ((0,), ValueError), ((0, 1, 2), ValueError)],
+    ids=["float", "string", "short", "long"],
+)
+def test_malformed_edge_raises_alike_on_both_layouts(monkeypatch, edge, error):
+    # np.fromiter with a (int64, 2) dtype reads (0, 1.5) and (0, "1") as (0, 1), and (0,) as (0, 0)
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    names, rows = [f"v{i}" for i in range(6)], [("x",)] * 6
+    for limit in (10**6, 2):
+        monkeypatch.setattr(graphmod, "_DENSE_LIMIT", limit)
+        with pytest.raises(error):
+            DirectedGraph(schema, names, rows, [(2, 3), edge])
 
 
 def test_bad_values_are_named_in_row_order():
@@ -478,6 +505,17 @@ FOREIGN_CALLS = {
     "count_walks": lambda g, X: count_walks(g, X, g.full_set(), 1),
     "count_walks target": lambda g, X: count_walks(g, g.full_set(), X, 1),
     "walk_traces": lambda g, X: walk_traces(g, X, g.full_set(), 1),
+    "covers": lambda g, X: covers(g, X, g.full_set(), 0),
+    "covers B": lambda g, X: covers(g, g.full_set(), X, 0),
+    "outspans": lambda g, X: outspans(g, X, g.full_set(), 0),
+    "outspans B": lambda g, X: outspans(g, g.full_set(), X, 0),
+    "injects": lambda g, X: injects(g, X, g.full_set(), 0),
+    "injects B": lambda g, X: injects(g, g.full_set(), X, 0),
+    "spans": lambda g, X: spans(g, X, g.full_set(), 0),
+    "spans B": lambda g, X: spans(g, g.full_set(), X, 0),
+    "enumerate_pseudo_bases pool": lambda g, X: list(enumerate_pseudo_bases(g, X, g.full_set(), g.full_set(), 0)),
+    "enumerate_pseudo_bases B": lambda g, X: list(enumerate_pseudo_bases(g, g.full_set(), X, g.full_set(), 0)),
+    "enumerate_pseudo_bases M": lambda g, X: list(enumerate_pseudo_bases(g, g.full_set(), g.full_set(), X, 0)),
 }
 
 

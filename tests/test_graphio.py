@@ -226,6 +226,28 @@ def test_serialize_vertex_set_roundtrip():
     assert parse_vertex_set(serialize_vertex_set(s, g), g) == s
 
 
+def test_vertex_files_name_ids_with_outer_spaces_exactly():
+    # stripping every line would read the id " a" as "a", a different vertex
+    names = ["a", " a", "b ", "  ", "c"]
+    g = color_graph(names, ["red"] * 5, [])
+    for members in ([" a"], ["a", " a"], ["b ", "  "], names):
+        s = vs(g, *members)
+        assert parse_vertex_set(serialize_vertex_set(s, g), g) == s
+    # a line that is no id still names its stripped form, and a blank line none
+    assert parse_vertex_set("c \n\n   \n  a  \n", g) == vs(g, "c", "a")
+    with pytest.raises(GraphFormatError):
+        parse_vertex_set(" b", g)
+
+
+@pytest.mark.parametrize("name", ["", "x\ny", "x\r", "x\x85y", "x\u2028"])
+def test_an_id_no_line_can_hold_is_not_written(name):
+    # a blank line names no vertex, so the empty id cannot be written either
+    g = color_graph(["a", name], ["red", "red"], [])
+    assert serialize_vertex_set(vs(g, "a"), g) == "a\n"
+    with pytest.raises(ValueError, match="one line"):
+        serialize_vertex_set(vs(g, "a", name), g)
+
+
 def test_to_dot_marks_roles_and_trace():
     g = color_graph(
         ["s", "a", "t"],
