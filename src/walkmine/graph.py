@@ -10,8 +10,10 @@ plus the edges of the active vertices' rows.
 
 :meth:`DirectedGraph.step` is one step of a program run: the kept out-image
 of a set and the set's vertices with no out-neighbour kept. On int masks one
-loop over the set gives both; on edge arrays it stays two numpy images, as a
-fused numpy kernel measured slower than the two together.
+loop over the set gives both. On edge arrays the out-image is taken first,
+and the in-image of the kept set second, only when the step both keeps and
+drops part of the out-image: otherwise the stranded set is the whole set or
+its sinks. (A fused numpy kernel measured slower than the two images.)
 """
 
 from __future__ import annotations
@@ -186,14 +188,14 @@ class DirectedGraph(_VertexTable):
         schema: FeatureSchema,
         names: Sequence[str],
         rows: Sequence[Sequence],
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[Sequence[int]],
         color_dim: str = "color",
     ):
         super().__init__(schema, names, rows, color_dim)
         n = self.n
         self._vectorised = n >= _DENSE_LIMIT
-        # both layouts read an edge as a pair of ids through operator.index:
-        # numpy integers are ids, floats and strings are not
+        # both layouts read an edge as any two-item sequence of ids through
+        # operator.index: numpy integers are ids, floats and strings are not
         if self._vectorised:
             try:
                 ids = map(index, chain.from_iterable((s, d) for s, d in edges))
@@ -202,12 +204,18 @@ class DirectedGraph(_VertexTable):
                 raise ValueError(f"edge references unknown vertex: {e}") from None
             bad = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)].tolist()
         else:
-            pairs = set(edges)
-            bad = [(s, d) for s, d in pairs
-                   if not (type(s) is type(d) is int and 0 <= s < n and 0 <= d < n)]
-            if bad:  # some id is out of range or not a plain int
-                pairs = {(index(s), index(d)) for s, d in pairs}
-                bad = [(s, d) for s, d in pairs if not (0 <= s < n and 0 <= d < n)]
+            # one pass ORs each edge into both masks; a repeated edge sets no new bit
+            out = [0] * n
+            inc = [0] * n
+            bad = []
+            for s, d in edges:
+                if not (type(s) is type(d) is int):
+                    s, d = index(s), index(d)
+                if 0 <= s < n and 0 <= d < n:
+                    out[s] |= 1 << d
+                    inc[d] |= 1 << s
+                else:
+                    bad.append((s, d))
         if bad:
             s, d = min(map(tuple, bad))
             raise ValueError(f"edge ({s}, {d}) references unknown vertex")
@@ -221,16 +229,14 @@ class DirectedGraph(_VertexTable):
             bounds = np.arange(n + 1)
             self._ptr = np.searchsorted(src, bounds)
             self._in_ptr = np.searchsorted(in_dst, bounds)
+            # the vertices with no out-edge
+            sinks = np.packbits(np.diff(self._ptr) == 0, bitorder="little")
+            self._sinks = int.from_bytes(sinks.tobytes(), "little")
             self.num_edges = len(keys)
             self._out_masks = None
             self._in_masks = None
         else:
-            out = [0] * n
-            inc = [0] * n
-            for s, d in pairs:
-                out[s] |= 1 << d
-                inc[d] |= 1 << s
-            self.num_edges = len(pairs)
+            self.num_edges = sum(m.bit_count() for m in out)
             self._out_masks = out
             self._in_masks = inc
         # the colour and the feature-vector classes, grouped on first use
@@ -316,6 +322,8 @@ class DirectedGraph(_VertexTable):
 
     def _np_image(self, mask: int, ptr: np.ndarray, nbr: np.ndarray) -> int:
         """Union of the CSR rows ``nbr[ptr[v]:ptr[v + 1]]`` of the vertices in ``mask``."""
+        if not mask:  # skips a fixed numpy cost, paid on every image after a halt
+            return 0
         n = self.n
         bits = np.unpackbits(
             np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
@@ -346,9 +354,19 @@ class DirectedGraph(_VertexTable):
     def step(self, mask: int, keep: int) -> tuple[int, int]:
         """(kept, stranded): the out-image of ``mask`` inside ``keep``, and the
         vertices of ``mask`` with no out-neighbour in ``keep``, which is
-        ``mask & ~in_image(kept)``."""
+        ``mask & ~in_image(kept)``. On edge arrays that in-image is taken
+        only when the step both keeps and drops part of the out-image: if it
+        keeps none, all of ``mask`` is stranded; if it drops none, only
+        ``mask``'s sinks are."""
         if self._vectorised:
-            kept = self._np_image(mask, self._ptr, self._dst) & keep
+            if not mask:
+                return 0, 0
+            image = self._np_image(mask, self._ptr, self._dst)
+            if not image & keep:
+                return 0, mask
+            if not image & ~keep:
+                return image, mask & self._sinks
+            kept = image & keep
             return kept, mask & ~self._np_image(kept, self._in_ptr, self._in_src)
         kept = stranded = 0
         out = self._out_masks
@@ -394,7 +412,7 @@ class MultiGraph(_VertexTable):
         color_dim: str = "color",
     ):
         super().__init__(schema, names, rows, color_dim)
-        self.edges = tuple((s, d, dict(f) if f else {}) for s, d, f in edges)
+        self.edges = tuple((index(s), index(d), dict(f) if f else {}) for s, d, f in edges)
         for s, d, feats in self.edges:
             if not (0 <= s < self.n and 0 <= d < self.n):
                 raise ValueError(f"edge ({s}, {d}) references unknown vertex")

@@ -214,18 +214,46 @@ def test_step_is_the_kept_image_and_the_stranded_vertices(monkeypatch):
     schema = FeatureSchema((Dimension("color", CATEGORICAL),))
     build = lambda: DirectedGraph(schema, [f"v{i}" for i in range(n)], [("x",)] * n, pairs)
     full = (1 << n) - 1
-    probes = [0, full, 1 << 0 | 1 << 9] + [rng.getrandbits(n) for _ in range(30)]
+    sinks = 1 << 0 | 1 << 9
+    probes = [0, full, sinks] + [rng.getrandbits(n) for _ in range(30)]
+    probes += [rng.getrandbits(n) | sinks for _ in range(10)]
     keeps = [0, full] + [rng.getrandbits(n) for _ in range(10)]
     for g in _on_both_layouts(monkeypatch, build):
         assert g.out_mask(0) == g.out_mask(9) == 0
         for mask in probes:
-            for keep in keeps:
-                kept = g.out_image(mask) & keep
+            image = g.out_image(mask)
+            # keeps that drop nothing: the image itself, and proper supersets short of full
+            wider = [image | rng.getrandbits(n) for _ in range(5)]
+            wider = [keep for keep in wider if keep not in (image, full)]
+            assert wider or mask in (0, full)
+            for keep in keeps + [image] + wider:
+                kept = image & keep
                 assert g.step(mask, keep) == (kept, mask & ~g.in_image(kept))
             # a sink is stranded whatever the step keeps; an empty keep strands all
-            assert g.step(mask, full)[1] & (1 << 0 | 1 << 9) == mask & (1 << 0 | 1 << 9)
+            assert g.step(mask, full)[1] & sinks == mask & sinks
             assert g.step(mask, 0) == (0, mask)
         assert g.step(0, full) == (0, 0)
+
+
+def test_edge_array_step_takes_the_in_image_only_when_it_keeps_and_drops(monkeypatch):
+    # 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 5; sinks 0, 4 and 5
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    build = lambda: DirectedGraph(schema, [f"v{i}" for i in range(6)], [("x",)] * 6, [(1, 2), (1, 3), (2, 4), (3, 5)])
+    masks, arrays = _on_both_layouts(monkeypatch, build)
+    calls = []
+    image = DirectedGraph._np_image
+    monkeypatch.setattr(DirectedGraph, "_np_image", lambda g, *args: calls.append(args[0]) or image(g, *args))
+    cases = [
+        ("empty mask", 0, 0b111111, 0),
+        ("nothing kept", 0b000010, 0b000001, 1),
+        ("nothing dropped", 0b000011, 0b101100, 1),
+        ("partial keep", 0b001010, 0b000100, 2),
+    ]
+    for case, mask, keep, images in cases:
+        calls.clear()
+        assert arrays.step(mask, keep) == masks.step(mask, keep), case
+        assert len(calls) == images, case
+    assert arrays.step(0b001010, 0b000100) == (0b000100, 0b001000)
 
 
 def test_color_masks_match_a_per_vertex_definition(monkeypatch):
@@ -294,6 +322,7 @@ def test_both_layouts_build_the_same_graph(monkeypatch):
         "unsorted list with duplicates": lambda: DirectedGraph(schema, names, rows, pairs),
         "iterator": lambda: DirectedGraph(schema, names, rows, iter(pairs)),
         "numpy integer ids": lambda: DirectedGraph(schema, names, rows, [(np.int64(s), np.int32(d)) for s, d in pairs]),
+        "lists of two ids": lambda: DirectedGraph(schema, names, rows, [[s, d] for s, d in pairs]),
         "load_graph": lambda: load_graph(json.dumps(doc)),
     }
     expected_edges = tuple(sorted(set(pairs)))
@@ -371,6 +400,15 @@ def test_multigraph_feature_validation():
     schema = FeatureSchema((Dimension("color", CATEGORICAL),))
     with pytest.raises(ValueError):
         MultiGraph(schema, ["u", "v"], [("r",), ("g",)], [(0, 1, {"nope": 1})])
+
+
+def test_multigraph_reads_edge_ids_as_directed_graph_does():
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    with pytest.raises(TypeError):
+        MultiGraph(schema, ["a", "b"], [("r",), ("g",)], [(0, 1.5, None)])
+    mg = MultiGraph(schema, ["a", "b"], [("r",), ("g",)], [(np.int64(0), np.int32(1), None)])
+    assert [type(v) for v in mg.edges[0][:2]] == [int, int]
+    assert convert_multigraph(mg).edges() == ((0, 2), (2, 1))
 
 
 def test_multigraph_rejects_an_out_of_range_endpoint():
