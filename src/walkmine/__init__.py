@@ -45,13 +45,6 @@ from .graphio import (
     to_dot,
 )
 from .mining import Budget, MiningConfig, MiningReport
-from .oracle import (
-    CapExceededError,
-    brute_force_mine_scp,
-    count_walks,
-    minimal_covers_bruteforce,
-    walk_traces,
-)
 from .scp import (
     Classification,
     classify_scp,
@@ -83,7 +76,6 @@ __all__ = [
     "Atom",
     "Budget",
     "CATEGORICAL",
-    "CapExceededError",
     "Classification",
     "Dimension",
     "DirectedGraph",
@@ -96,13 +88,11 @@ __all__ = [
     "ORDERED",
     "TosetProgram",
     "VertexSet",
-    "brute_force_mine_scp",
     "classify_scp",
     "classify_stp",
     "compute_criterion",
     "consistent",
     "convert_multigraph",
-    "count_walks",
     "covers",
     "criterion_from_dict",
     "criterion_key",
@@ -119,7 +109,6 @@ __all__ = [
     "mine_feasible_scp",
     "mine_feasible_stp",
     "minimal_covers",
-    "minimal_covers_bruteforce",
     "out_neighbors",
     "outspans",
     "parse_vertex_set",

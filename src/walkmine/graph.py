@@ -250,9 +250,6 @@ class DirectedGraph(_VertexTable):
 
     # -- identity ---------------------------------------------------------
 
-    def vector(self, v: int) -> tuple:
-        return self.rows[v]
-
     def twins(self, mask: int) -> int:
         """The vertices sharing a feature vector with some vertex of ``mask``:
         one hop per vector class."""
@@ -309,9 +306,6 @@ class DirectedGraph(_VertexTable):
     def color_mask(self, cid: int) -> int:
         masks = (self._colors or self._intern_colors()).masks
         return masks[cid] if 0 <= cid < len(masks) else 0
-
-    def color_class(self, cid: int) -> VertexSet:
-        return VertexSet(self.n, self.color_mask(cid))
 
     def colors_in(self, mask: int) -> list[int]:
         """Ids of the colours held by some vertex of ``mask``, ascending."""

@@ -1,12 +1,18 @@
-"""Brute-force reference implementations used to validate the miners."""
+"""Brute-force references that the tests check the miners against.
+
+Slow, independent answers to what :mod:`walkmine.scp` and
+:mod:`walkmine.setcover` compute: every colour program classified by
+simulation, walks counted and traced vertex by vertex, and minimal covers
+found by an exhaustive subset scan. The package does not ship them.
+"""
 
 from __future__ import annotations
 
 import itertools
 
-from .bitset import VertexSet
-from .graph import DirectedGraph
-from .scp import EXACT, FEASIBLE, classify_scp
+from walkmine.bitset import VertexSet
+from walkmine.graph import DirectedGraph
+from walkmine.scp import EXACT, FEASIBLE, classify_scp
 
 
 class CapExceededError(RuntimeError):
@@ -40,6 +46,8 @@ def brute_force_mine_scp(
 def count_walks(g: DirectedGraph, source: VertexSet, target: VertexSet, length: int) -> int:
     """Number of length-``length`` walks from the source set into the target."""
     g.check_universe(source, target)
+    if length < 0:
+        raise ValueError("a walk has no negative length")
     ways = {v: 1 for v in source}
     for _ in range(length):
         nxt: dict[int, int] = {}

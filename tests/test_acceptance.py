@@ -11,6 +11,7 @@ import pytest
 
 from helpers import mine_all, name_program
 from literal_reference import literal
+from oracle_reference import brute_force_mine_scp, walk_traces
 from walkmine import (
     Atom,
     Dimension,
@@ -20,7 +21,6 @@ from walkmine import (
     MiningConfig,
     TosetProgram,
     VertexSet,
-    brute_force_mine_scp,
     classify_scp,
     classify_stp,
     compute_criterion,
@@ -37,7 +37,6 @@ from walkmine import (
     simulate_scp,
     simulate_stp,
     spans,
-    walk_traces,
 )
 from walkmine.generate import layered_graph, random_instance
 from walkmine.graph import CATEGORICAL, ORDERED

@@ -38,7 +38,7 @@ def test_extra_dimensions():
     assert [d.name for d in schema.dims] == ["color", "x0", "x1"]
     assert [d.kind for d in schema.dims] == [CATEGORICAL, ORDERED, ORDERED]
     for v in range(inst.graph.n):
-        for value in inst.graph.vector(v)[1:]:
+        for value in inst.graph.rows[v][1:]:
             assert value is None or isinstance(value, int)
 
 

@@ -7,6 +7,7 @@ import pytest
 import walkmine.graph as graphmod
 from helpers import color_graph, feature_graph, vs
 from literal_reference import literal
+from oracle_reference import count_walks, walk_traces
 from walkmine.bitset import VertexSet, iter_bits, mask_of
 from walkmine.criterion import Atom
 from walkmine.generate import random_instance
@@ -28,7 +29,6 @@ from walkmine.graph import (
 )
 from walkmine.graphio import load_graph, serialize_graph
 from walkmine.mining import MiningConfig
-from walkmine.oracle import count_walks, walk_traces
 from walkmine.scp import (
     classify_scp,
     covers,
@@ -84,7 +84,7 @@ def test_row_validation():
         DirectedGraph(schema, ["v", "v"], [(1,), (2,)], [])
     # None is always allowed: the feature is simply missing
     g = DirectedGraph(schema, ["v"], [(None,)], [])
-    assert g.vector(0) == (None,)
+    assert g.rows[0] == (None,)
 
 
 def test_edge_validation_and_dedup():
@@ -100,7 +100,7 @@ def test_color_interning_first_occurrence_order():
     assert g.color_names == ("blue", "red", "green")
     assert g.color_id("red") == 1 and g.color_id("magenta") == -1
     assert g.color_of(g.vertex_id("t")) == 2
-    assert set(g.color_class(1)) == {g.vertex_id("a"), g.vertex_id("b")}
+    assert g.color_mask(1) == mask_of([g.vertex_id("a"), g.vertex_id("b")])
     assert g.color_mask(-1) == 0 and g.color_mask(99) == 0
 
 
@@ -463,8 +463,8 @@ def test_convert_multigraph_subdivides():
     assert g.names == ("u", "v", "u->v", "u->v#2")
     # originals keep their ids
     assert g.vertex_id("u") == 0 and g.vertex_id("v") == 1
-    assert g.vector(g.vertex_id("u->v")) == ("blue",)
-    assert g.vector(g.vertex_id("u->v#2")) == (None,)
+    assert g.rows[g.vertex_id("u->v")] == ("blue",)
+    assert g.rows[g.vertex_id("u->v#2")] == (None,)
     assert set(g.edges()) == {(0, 2), (2, 1), (0, 3), (3, 1)}
 
 

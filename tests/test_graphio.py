@@ -29,10 +29,10 @@ def test_load_simple_graph():
     g = load_graph(json.dumps(DOC))
     assert isinstance(g, DirectedGraph)
     assert g.names == ("u", "v", "w")
-    assert g.vector(0) == ("red", 1)
+    assert g.rows[0] == ("red", 1)
     # absent features and absent feature blocks both read as missing
-    assert g.vector(1) == ("green", None)
-    assert g.vector(2) == (None, None)
+    assert g.rows[1] == ("green", None)
+    assert g.rows[2] == (None, None)
     assert g.edges() == ((0, 1), (1, 2))
 
 

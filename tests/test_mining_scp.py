@@ -7,11 +7,11 @@ import pytest
 import walkmine.graph as graphmod
 from helpers import SEARCHES, color_graph, color_names, mine_all, name_program, scp_miner, vs
 from literal_reference import literal
+from oracle_reference import brute_force_mine_scp
 from walkmine.bitset import VertexSet
 from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
 from walkmine.mining import Budget, MiningConfig, render_program
-from walkmine.oracle import brute_force_mine_scp
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
 from walkmine.stp import mine_exact_stp, mine_feasible_stp
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import color_graph, name_program, vs
-from walkmine import (
+from oracle_reference import (
     CapExceededError,
-    VertexSet,
     brute_force_mine_scp,
     count_walks,
     minimal_covers_bruteforce,
     walk_traces,
 )
+from walkmine import VertexSet
 from walkmine.generate import random_instance
 
 
@@ -43,6 +43,8 @@ def test_count_walks(funnel):
     g, S, T = funnel
     assert count_walks(g, S, T, 2) == 2
     assert count_walks(g, S, T, 1) == 0
+    with pytest.raises(ValueError):
+        count_walks(g, S, T, -1)
     diamond = color_graph(
         ["a", "b1", "b2", "c"],
         ["red", "blue", "blue", "red"],

@@ -1,9 +1,9 @@
 import random
 
 from helpers import color_graph
+from oracle_reference import minimal_covers_bruteforce
 from walkmine.bitset import VertexSet, mask_of
 from walkmine.mining import Budget, MiningConfig
-from walkmine.oracle import minimal_covers_bruteforce
 from walkmine.setcover import cover_masks, iter_covers, minimal_covers
 
 
