@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -43,7 +44,7 @@ class VertexSet:
 
     @classmethod
     def from_ids(cls, size: int, ids: Iterable[int]) -> "VertexSet":
-        ids = list(ids)
+        ids = list(map(operator.index, ids))  # a numpy id would shift as a fixed-width int
         for i in ids:
             if not 0 <= i < size:
                 raise ValueError(f"vertex id {i} outside universe of size {size}")
@@ -70,6 +71,7 @@ class VertexSet:
         return self.mask != 0
 
     def __contains__(self, i: int) -> bool:
+        i = operator.index(i)
         return 0 <= i < self.size and (self.mask >> i) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:

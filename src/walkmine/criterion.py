@@ -280,6 +280,8 @@ def criterion_memo(g: DirectedGraph):
 
 def criterion_to_dict(crit: Criterion, schema: FeatureSchema) -> dict:
     if isinstance(crit, Atom):
+        if not 0 <= crit.dim < len(schema):  # a negative dim would name a dimension from the end
+            raise ValueError(f"criterion references dimension {crit.dim} outside the schema")
         return {"atom": {"f": schema.dims[crit.dim].name, "op": crit.op, "v": crit.value}}
     if isinstance(crit, AllOf):
         return {"all": [criterion_to_dict(item, schema) for item in crit.items]}

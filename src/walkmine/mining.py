@@ -84,7 +84,10 @@ def render_program(g: DirectedGraph, program) -> list:
     """JSON form of a program: colour names, or one criterion dict per step."""
     if isinstance(program, TosetProgram):
         return program.to_dict(g)
-    return [g.color_names[c] for c in program]
+    names = g.color_names
+    if not all(0 <= c < len(names) for c in program):  # a negative id would name a colour from the end
+        raise ValueError(f"colour program {program!r} names a colour id outside 0..{len(names) - 1}")
+    return [names[c] for c in program]
 
 
 def program_key(g: DirectedGraph, program):

@@ -186,65 +186,61 @@ def _scp_searches(g, S: int, T: int, mode):
     def label(state, safe):
         return (_mono_color(g, state[1]),) + state[0]
 
-    K = [T]  # K[r]: the vertices with a walk of r steps into T
     return [
-        lambda *args: _forward_search(g, S, K, mode, *args),
+        _forward_search(g, S, T, mode),
         backward_search(g, "scp", T, mode, alike, split, label),
     ]
 
 
-def _forward_search(g, S: int, K: list, mode, length, positions, budget, found, stats):
-    """Forward subset-construction search, one budget charge per step.
+def _forward_search(g, S: int, T: int, mode):
+    """Forward subset-construction search, one budget charge and one yield per step.
 
     A colour program is a word over the automaton v -c-> u (an edge v->u
     into a vertex of colour c), and the endpoint set of a run is a state of
     its powerset automaton. Depth by depth from {S}, each distinct set is
     expanded into its colour classes, keeping a class only if it meets K[r],
-    the vertices with a walk of r steps into T, r the steps then left; ``K``
-    starts as [T] and is extended in place, so later lengths reuse it. At
+    the vertices with a walk of r steps into T, r the steps then left. At
     the last depth a class must equal T (exact mode), or be nonempty and
-    inside T. The last step lists the programs through the expanded sets
-    into ``found``, depth-first and in lexicographic order; each listed
-    program charges the budget too, so the caps bound the listing as they
-    bound the expansion.
+    inside T. The last step drops every move into a set with no path of
+    moves to an accepted set, then lists the programs through the rest into
+    ``found`` from one stack, depth-first and in lexicographic order; each
+    listed program charges the budget too, so the caps bound the listing as
+    they bound the expansion.
     """
-    T = K[0]
-    while len(K) < length:
-        K.append(g.in_image(K[-1]))
-    steps = []  # per depth: {expanded set: [(colour, next set)]}, colours ascending
-    layer = [S]
-    for depth in range(length):
-        keep, moves, nxt = K[length - depth - 1], {}, {}
-        steps.append(moves)
-        for E in layer:
-            if not budget.charge_triple():
-                return
-            stats["sets_expanded"] += 1
-            image = g.out_image(E) if depth else positions[1]
-            moves[E] = out = []
-            for c in g.colors_in(image & keep):
-                X = image & g.color_mask(c)
-                if depth + 1 < length or X == T or (mode == FEASIBLE and X & ~T == 0):
-                    out.append((c, X))
-                    nxt[X] = None
-            yield
-        layer = list(nxt)
-    # live[d]: the sets at depth d with a path of moves to an accepted set
-    live = [set(layer)]
-    for moves in reversed(steps):
-        live.append({E for E, out in moves.items() if any(X in live[-1] for _, X in out)})
-    live.reverse()
-    prefix, stack = [], [iter(steps[0][S])] if S in live[0] else []
-    while stack:  # stack[d] walks the moves out of the depth-d set; prefix holds their colours
-        move = next((m for m in stack[-1] if m[1] in live[len(stack)]), None)
-        if move is None:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-        elif len(stack) < length:
-            prefix.append(move[0])
-            stack.append(iter(steps[len(stack)][move[1]]))
-        elif (p := (*prefix, move[0])) not in found:
-            if not (budget.charge_triple() and budget.charge_program()):
-                return
-            found[p] = None
+    K = [T]  # K[r]: the vertices with a walk of r steps into T, extended as lengths need it
+
+    def search(length, positions, budget, found, stats):
+        while len(K) < length:
+            K.append(g.in_image(K[-1]))
+        steps = []  # per depth: {expanded set: [(colour, next set)]}, colours ascending
+        layer = [S]
+        for depth in range(length):
+            keep, moves, nxt = K[length - depth - 1], {}, {}
+            steps.append(moves)
+            for E in layer:
+                if not budget.charge_triple():
+                    return
+                stats["sets_expanded"] += 1
+                image = g.out_image(E) if depth else positions[1]
+                moves[E] = out = []
+                for c in g.colors_in(image & keep):
+                    X = image & g.color_mask(c)
+                    if depth + 1 < length or X == T or (mode == FEASIBLE and X & ~T == 0):
+                        out.append((c, X))
+                        nxt[X] = None
+                yield
+            layer = list(nxt)
+        for moves, after in reversed(list(zip(steps, steps[1:]))):  # drop moves into sets left with none
+            for out in moves.values():
+                out[:] = [move for move in out if after[move[1]]]
+        stack = [(S, ())]  # (set, colours so far), pushed in reverse so it pops in order
+        while stack:
+            E, prefix = stack.pop()
+            if len(prefix) < length:
+                stack.extend((X, prefix + (c,)) for c, X in reversed(steps[len(prefix)][E]))
+            elif prefix not in found:
+                if not (budget.charge_triple() and budget.charge_program()):
+                    return
+                found[prefix] = None
+
+    return search

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from walkmine.bitset import VertexSet, iter_bits, mask_of
@@ -24,12 +25,23 @@ def test_construction_and_membership():
     assert 9 not in s
     assert s.ids() == (1, 5)
     assert list(s) == [1, 5]
+    # numpy ids build the plain-int set, past the 64-bit word too
+    ids = [3, 63, 64, 70]
+    s = VertexSet.from_ids(100, np.array(ids))
+    assert s == VertexSet.from_ids(100, ids) and list(s) == ids
+    assert all(np.int64(i) in s for i in ids) and np.int64(71) not in s
+    with pytest.raises(TypeError):
+        VertexSet.from_ids(100, [1.0])
+    with pytest.raises(TypeError):
+        1.0 in s
 
 
 def test_single_and_full():
     assert VertexSet.single(4, 2).mask == 0b100
     assert VertexSet.full(3).ids() == (0, 1, 2)
     assert not VertexSet(5)
+    for i in (3, 63, 64, 70):
+        assert VertexSet.single(100, np.int64(i)) == VertexSet.single(100, i)
 
 
 def test_out_of_range_rejected():

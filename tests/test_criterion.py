@@ -450,3 +450,7 @@ def test_criterion_mask_rejects_dimensions_outside_the_schema():
             for _ in range(2):  # a failed fold caches nothing
                 with pytest.raises(ValueError, match="outside the schema"):
                     criterion_mask(g, crit)
+            # rendering refuses what evaluation refuses, rather than name the last dimension
+            for render in (lambda: criterion_to_dict(crit, g.schema), lambda: TosetProgram((crit,)).to_dict(g)):
+                with pytest.raises(ValueError, match="outside the schema"):
+                    render()

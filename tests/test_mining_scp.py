@@ -12,6 +12,7 @@ from walkmine.bitset import VertexSet
 from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
 from walkmine.mining import Budget, MiningConfig, render_program
+from walkmine import scp
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
 from walkmine.stp import mine_exact_stp, mine_feasible_stp
 
@@ -47,6 +48,14 @@ def test_funnel_report_rendering(funnel):
         "programs": [["red", "green"]],
         "stats": report.stats,
     }
+
+
+def test_rendering_refuses_colour_ids_outside_the_graph():
+    g = color_graph(["r", "g", "b"], ["red", "green", "blue"], [("r", "g")])
+    assert render_program(g, name_program(g, "blue", "red")) == ["blue", "red"]
+    for cid in (g.color_id("nope"), g.num_colors):  # -1 would render the last colour
+        with pytest.raises(ValueError, match="outside 0..2"):
+            render_program(g, (g.color_id("red"), cid))
 
 
 def test_dead_branch_needs_vacuous_safety(dead_branch):
@@ -460,6 +469,19 @@ def test_forward_search_keeps_only_sets_that_can_reach_the_target():
         reports = mine_all(scp_miner(mode, ("forward",)), g, S, T, MiningConfig(max_len=4))
         assert [r.stats["sets_expanded"] for r in reports.values()] == [0, 0, 0, 3, 0]
         assert len(reports[3].programs) == 1
+
+
+def test_forward_listing_runs_deeper_than_the_recursion_limit():
+    # a recursive listing raised RecursionError at this length
+    length = 1200
+    g = color_graph(["a", "b"], ["red", "green"], [("a", "b"), ("b", "a")])
+    S, T = vs(g, "a").mask, vs(g, "a").mask
+    forward = scp._scp_searches(g, S, T, "exact")[0]
+    found, stats = {}, {"sets_expanded": 0}
+    for _ in forward(length, [S, g.out_image(S)], Budget(MiningConfig(max_len=length)), found, stats):
+        pass
+    assert list(found) == [name_program(g, "green", "red") * (length // 2)]
+    assert stats["sets_expanded"] == length
 
 
 def _dense_instance(seed):

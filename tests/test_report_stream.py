@@ -5,7 +5,9 @@ change that moves either says why in CHANGES.md. A third pin holds only the
 answers: the uncapped repaired reports with their work counters dropped, so
 a change to how the searches step or charge may move the first two pins but
 never this one; it also holds with every simulation made to fail, since
-the searches accept their programs by construction. The last test pins the
+the searches accept their programs by construction. A fourth pin holds the
+forward colour search alone, capped runs and stats included, since in the
+race the backward search can answer a length in its place. The last test pins the
 total of the whole-corpus digest that ``scripts/report_digest.py`` prints,
 under two hash seeds."""
 
@@ -41,6 +43,10 @@ STP_SHA256 = "d39d59e0392f8acb919fac206d92b6148afe71096115e393db89b1f1953ba5fa"
 UNCAPPED_RUNS = (RUNS[0], STP_RUNS[0])
 UNCAPPED_REPORTS = 1800
 UNCAPPED_SHA256 = "b2e1ce27d0f9fe6bdaf1ac52e65dd5807dbae2e5c1b1427159f6cb727975c590"
+
+FORWARD_RUNS = (("repaired", 4, (scp_miner("exact", ("forward",)), scp_miner("feasible", ("forward",)))),)
+FORWARD_REPORTS = 1964
+FORWARD_SHA256 = "b4ce42abf98fdc60840b1914e11eff51fba391752fffccb63f231fb3d4216d5b"
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_TOTAL = "reports 31707 sha256 106578aec993802d32c73f85a606455d074f75532459eae5c4b8e2e1e356fcd7"
@@ -81,6 +87,10 @@ def test_uncapped_program_digest():
     assert _digest(UNCAPPED_RUNS, caps=(None,), stats=False) == (UNCAPPED_REPORTS, UNCAPPED_SHA256)
 
 
+def test_forward_search_stream_digest():
+    assert _digest(FORWARD_RUNS) == (FORWARD_REPORTS, FORWARD_SHA256)
+
+
 def test_mining_never_simulates(monkeypatch):
     def refuse(*args):
         raise AssertionError("a mining path ran a program")
@@ -89,7 +99,7 @@ def test_mining_never_simulates(monkeypatch):
                          (stp, "classify_stp"), (stp, "simulate_stp"), (stp, "classify_run")):
         monkeypatch.setattr(module, name, refuse)
     backward = ("repaired", 4, (scp_miner("exact", ("backward",)), scp_miner("feasible", ("backward",))))
-    for runs in (UNCAPPED_RUNS, (backward, STP_RUNS[0])):
+    for runs in (UNCAPPED_RUNS, (backward, STP_RUNS[0]), (FORWARD_RUNS[0], STP_RUNS[0])):
         assert _digest(runs, caps=(None,), stats=False) == (UNCAPPED_REPORTS, UNCAPPED_SHA256)
 
 
