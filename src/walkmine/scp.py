@@ -193,7 +193,7 @@ def _scp_searches(g, S: int, T: int, mode):
 
 
 def _forward_search(g, S: int, T: int, mode):
-    """Forward subset-construction search, one budget charge and one yield per step.
+    """Forward subset-construction search, one budget charge per step, one yield per set.
 
     A colour program is a word over the automaton v -c-> u (an edge v->u
     into a vertex of colour c), and the endpoint set of a run is a state of

@@ -7,9 +7,9 @@ a change to how the searches step or charge may move the first two pins but
 never this one; it also holds with every simulation made to fail, since
 the searches accept their programs by construction. A fourth pin holds the
 forward colour search alone, capped runs and stats included, since in the
-race the backward search can answer a length in its place. The last test pins the
-total of the whole-corpus digest that ``scripts/report_digest.py`` prints,
-under two hash seeds."""
+race the backward search can answer a length in its place. The last test
+pins the total of the whole-corpus digest that ``scripts/report_digest.py``
+prints, under two hash seeds."""
 
 import hashlib
 import json
