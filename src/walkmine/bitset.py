@@ -37,6 +37,8 @@ class VertexSet:
     def __init__(self, size: int, mask: int = 0):
         if size < 0:
             raise ValueError("universe size must be non-negative")
+        if type(mask) is not int:  # a numpy mask would shift as a fixed-width int
+            mask = operator.index(mask)
         if mask < 0 or mask >> size:
             raise ValueError("mask has bits outside the universe")
         object.__setattr__(self, "size", size)

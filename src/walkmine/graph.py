@@ -318,20 +318,18 @@ class DirectedGraph(_VertexTable):
         """Union of the CSR rows ``nbr[ptr[v]:ptr[v + 1]]`` of the vertices in ``mask``."""
         if not mask:  # skips a fixed numpy cost, paid on every image after a halt
             return 0
-        n = self.n
-        bits = np.unpackbits(
-            np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
-            count=n,
-            bitorder="little",
-        )
+        nb = (self.n + 7) // 8  # whole bytes: the bits past n are clear in mask and in the image
+        bits = np.unpackbits(np.frombuffer(mask.to_bytes(nb, "little"), dtype=np.uint8), bitorder="little")
         active = bits.view(bool).nonzero()[0]
-        starts = ptr[active]
-        lengths = ptr[active + 1] - starts
-        # position k of the gathered rows reads nbr[starts[row] + k - offset[row]]
-        shift = starts - (np.cumsum(lengths) - lengths)
-        picked = nbr[np.repeat(shift, lengths) + np.arange(int(lengths.sum()))]
-        hit = np.zeros(n, dtype=bool)
-        hit[picked] = True
+        ends = ptr[1:].take(active)
+        lengths = ends - ptr.take(active)
+        # position k of the gathered rows, in row r, reads nbr[k + ends[r] - total[r]],
+        # total[r] being the summed lengths of rows 0..r
+        ends -= np.add.accumulate(lengths)
+        idx = np.repeat(ends, lengths)
+        idx += np.arange(idx.size)
+        hit = np.zeros(8 * nb, dtype=bool)
+        hit[nbr.take(idx)] = True
         return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
     def out_image(self, mask: int) -> int:

@@ -95,7 +95,7 @@ def program_key(g: DirectedGraph, program):
     program's rendered steps; so neither follows the order of the vertices."""
     if isinstance(program, TosetProgram):
         return program.key(g)
-    return tuple(map(g.color_names.__getitem__, program))
+    return tuple(render_program(g, program))  # which refuses an id outside the colours
 
 
 @dataclass

@@ -44,6 +44,19 @@ def test_single_and_full():
         assert VertexSet.single(100, np.int64(i)) == VertexSet.single(100, i)
 
 
+def test_mask_is_read_as_an_index():
+    # a numpy mask is held as the plain int, so iteration and repr work
+    s = VertexSet(100, np.int64(5))
+    assert type(s.mask) is int and s == VertexSet(100, 5)
+    assert list(s) == [0, 2] and repr(s) == repr(VertexSet(100, 5))
+    assert VertexSet(100, True) == VertexSet(100, 1)
+    for bad in (5.0, "5", None):
+        with pytest.raises(TypeError):
+            VertexSet(100, bad)
+    with pytest.raises(ValueError):
+        VertexSet(3, np.int64(8))
+
+
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         VertexSet.from_ids(4, [4])

@@ -196,6 +196,44 @@ def test_vectorised_images_agree_with_mask_path(monkeypatch):
         assert bare.out_mask(v) == 0
 
 
+def test_edge_array_images_at_scale_match_an_edge_scan():
+    # above the dense limit unpatched, n not a multiple of 8, skewed degrees:
+    # hub 0 has 1,200 out-edges, the top quarter of the ids are sinks and
+    # every fifth id below them a source
+    rng = random.Random(34)
+    n = _DENSE_LIMIT + 61
+    sinks = set(range(3 * n // 4, n))
+    sources = set(range(5, 3 * n // 4, 5))
+    inner = [v for v in range(n) if v not in sources]
+    edges = {(0, d) for d in rng.sample(inner, 1200)}
+    edges |= {(s, rng.choice(inner)) for s in range(1, 3 * n // 4) for _ in range(rng.randint(0, 4))}
+    schema = FeatureSchema((Dimension("color", CATEGORICAL),))
+    g = DirectedGraph(schema, [f"v{i}" for i in range(n)], [("x",)] * n, edges)
+    assert g._vectorised and n % 8 and len({d for s, d in edges if s == 0}) > 1000
+
+    def out_scan(mask):
+        return mask_of({d for s, d in edges if mask >> s & 1})
+
+    def in_scan(mask):
+        return mask_of({s for s, d in edges if mask >> d & 1})
+
+    full = (1 << n) - 1
+    sink_mask, source_mask = mask_of(sinks), mask_of(sources)
+    probes = [full, sink_mask, source_mask, mask_of(rng.sample(sorted(sinks), 40))]
+    probes += [1 << v for v in (0, 1, 5, 3 * n // 4, n - 62, n - 8, n - 1)]
+    probes += [rng.getrandbits(n) for _ in range(6)]
+    probes += [mask_of(rng.sample(range(n), k)) for k in (2, 30, 1000)]
+    assert out_scan(sink_mask) == 0 and in_scan(source_mask) == 0
+    for mask in probes:
+        image = out_scan(mask)
+        assert g.out_image(mask) == image
+        assert g.in_image(mask) == in_scan(mask)
+        for keep in (0, full, image, rng.getrandbits(n), image & rng.getrandbits(n)):
+            kept = image & keep
+            stranded = mask & ~mask_of({s for s, d in edges if mask >> s & 1 and keep >> d & 1})
+            assert g.step(mask, keep) == (kept, stranded)
+
+
 def _on_both_layouts(monkeypatch, build):
     """``build()`` on the mask layout, then on the edge-array layout."""
     masks = build()

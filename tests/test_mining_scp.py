@@ -11,7 +11,7 @@ from oracle_reference import brute_force_mine_scp
 from walkmine.bitset import VertexSet
 from walkmine.generate import random_instance
 from walkmine.graph import CATEGORICAL, Dimension, DirectedGraph, FeatureSchema
-from walkmine.mining import Budget, MiningConfig, render_program
+from walkmine.mining import Budget, MiningConfig, program_key, render_program
 from walkmine import scp
 from walkmine.scp import classify_scp, mine_exact_scp, mine_feasible_scp
 from walkmine.stp import mine_exact_stp, mine_feasible_stp
@@ -51,6 +51,14 @@ def test_funnel_report_rendering(funnel):
     for cid in (g.color_id("nope"), g.num_colors):  # -1 would render the last colour
         with pytest.raises(ValueError, match=f"outside 0..{g.num_colors - 1}"):
             render_program(g, (g.color_id("red"), cid))
+
+
+def test_program_key_refuses_the_ids_render_program_refuses():
+    g = color_graph(["a", "b", "c"], ["red", "green", "blue"], [("a", "b"), ("b", "c")])
+    assert program_key(g, (g.color_id("blue"), g.color_id("red"))) == ("blue", "red")
+    for cid in (g.color_id("nope"), g.num_colors):  # -1 would key as the last colour, blue
+        with pytest.raises(ValueError, match="outside 0..2"):
+            program_key(g, (cid,))
 
 
 def test_dead_branch_needs_vacuous_safety(dead_branch):
