@@ -28,7 +28,7 @@ COMPLETE_HALT = "complete_halt"
 _FORWARD_STATS = ("sets_expanded",)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, frozen=True, slots=True)
 class Classification:
     """Outcome of running a program: kind, halting data, full trace.
 
@@ -37,10 +37,18 @@ class Classification:
     """
 
     kind: str
-    halt_step: Optional[int] = None
-    partial_halt_steps: tuple[int, ...] = ()
-    trace: tuple[VertexSet, ...] = ()
-    partial_halt_masks: tuple[int, ...] = ()
+    halt_step: Optional[int]
+    partial_halt_steps: tuple[int, ...]
+    trace: tuple[VertexSet, ...]
+    partial_halt_masks: tuple[int, ...]
+
+    # hand-written, as VertexSet's is: every verify call builds one
+    def __init__(self, kind, halt_step=None, partial_halt_steps=(), trace=(), partial_halt_masks=()):
+        _set_kind(self, kind)
+        _set_halt_step(self, halt_step)
+        _set_partial_halt_steps(self, partial_halt_steps)
+        _set_trace(self, trace)
+        _set_partial_halt_masks(self, partial_halt_masks)
 
     @property
     def succeeded(self) -> bool:
@@ -50,6 +58,13 @@ class Classification:
     def partial_halt_vertices(self) -> tuple[VertexSet, ...]:
         """The stranded vertices of each partial-halt step, as vertex sets."""
         return tuple(VertexSet(self.trace[0].size, mask) for mask in self.partial_halt_masks)
+
+
+_set_kind = Classification.kind.__set__
+_set_halt_step = Classification.halt_step.__set__
+_set_partial_halt_steps = Classification.partial_halt_steps.__set__
+_set_trace = Classification.trace.__set__
+_set_partial_halt_masks = Classification.partial_halt_masks.__set__
 
 
 def simulate_scp(g: DirectedGraph, source: VertexSet, program: tuple[int, ...]) -> list[VertexSet]:

@@ -55,6 +55,19 @@ def test_mask_is_read_as_an_index():
             VertexSet(100, bad)
     with pytest.raises(ValueError):
         VertexSet(3, np.int64(8))
+    # and so is a size: held as the plain int, a numpy size neither
+    # overflows nor wraps a shift, and a bool size is read as 0 or 1
+    for s, same in (
+        (VertexSet(np.int64(100), 1 << 99), VertexSet(100, 1 << 99)),
+        (VertexSet.from_ids(np.int64(100), [99]), VertexSet(100, 1 << 99)),
+        (VertexSet.full(np.int64(70)), VertexSet.full(70)),
+        (VertexSet(True, 1), VertexSet(1, 1)),
+    ):
+        assert type(s.size) is int and s == same
+    with pytest.raises(TypeError):
+        VertexSet(100.0, 1)
+    with pytest.raises(ValueError):
+        VertexSet(np.int64(-1))
 
 
 def test_out_of_range_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pickle
 import random
@@ -7,6 +8,7 @@ import pytest
 from helpers import color_graph, name_program, vs
 from walkmine.bitset import VertexSet
 from walkmine.scp import (
+    Classification,
     classify_scp,
     covers,
     enumerate_pseudo_bases,
@@ -52,6 +54,18 @@ def test_verdict_survives_pickling():
     g = funnel_graph()
     cls = classify_scp(g, vs(g, "s1", "s2"), vs(g, "t", "c"), name_program(g, "red", "green"))
     assert pickle.loads(pickle.dumps(cls)) == cls
+
+
+def test_verdict_is_a_frozen_value():
+    g = funnel_graph()
+    cls = classify_scp(g, vs(g, "s1", "s2"), vs(g, "t", "c"), name_program(g, "red", "green"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls.kind = "exact"
+    assert not hasattr(cls, "__dict__")
+    again = dataclasses.replace(cls, kind="exact")
+    assert again == Classification("exact", cls.halt_step, cls.partial_halt_steps, cls.trace, cls.partial_halt_masks)
+    twin = classify_scp(g, vs(g, "s1", "s2"), vs(g, "t", "c"), name_program(g, "red", "green"))
+    assert twin == cls and twin is not cls and hash(twin) == hash(cls)
 
 
 def test_classify_feasible_strict_subset():
