@@ -4,8 +4,8 @@ that races a miner's searches and orders their programs, and the backward search
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from .bitset import VertexSet, iter_bits
@@ -20,6 +20,7 @@ _STATS = {
     "scp": ("triples_expanded", "pseudo_bases", "dedup_hits"),
     "stp": ("chains_expanded", "pseudo_bases", "dedup_hits"),
 }
+_PROGRAM = {"scp": tuple, "stp": TosetProgram}  # each engine's program type
 
 
 @dataclass(frozen=True)
@@ -184,23 +185,28 @@ def start_states(target: int, mode: str) -> list:
 
 
 def backward_search(g, engine, target: int, mode, alike, split, label):
-    """A repaired search, breadth-first over states (p, B, M), one state per step.
+    """A repaired search, breadth-first over states (p, B, M), one (B, M) group per step.
 
     A state says that any start set between B and M runs the suffix program
     ``p`` into the target; the search starts from :func:`start_states` and
-    takes every step back itself. The engine's hooks: ``alike(B)``, the
-    vertices a step keeping B also keeps, or None when no step keeps all of
-    B, so the safe vertices are the base's with no out-neighbour in alike(B)
-    outside M; ``split(pool, safe)``, the (pool, keep) class pairs of the
-    safe vertices that have an out-neighbour in B; ``label(state, safe)``,
-    the new suffix, asked only when some pool survives, so every suffix past
-    ε, the empty tuple, is of the engine's program type. The last step back
-    gives the one state (newp, S, S), S the source, when all of S is safe
-    and S's image covers B. Any other keeps only the pools whose image
-    covers B, and each base drawn from one gives a state (newp, base, keep)
-    unless seen at this length: B's minimal covers in the pool, or the pool
-    itself one step before the last, where the next step reads a base only
-    through its class.
+    takes every step back itself. A step back reads a state only through
+    (B, M) and the steps still to take, never through p, so each depth maps
+    (B, M) to the suffixes reaching it, a group expanded once for all of
+    them. The engine's hooks: ``alike(B)``, the vertices a step keeping B
+    also keeps, or None when no step keeps all of B, so the safe vertices
+    are the base's with no out-neighbour in alike(B) outside M;
+    ``split(pool, safe)``, the (pool, keep) class pairs of the safe vertices
+    that have an out-neighbour in B; ``label(B, M, safe)``, the step, asked
+    only when some pool survives. Each new suffix is that step followed by
+    one of the group's suffixes, as a plain tuple, and a full-length suffix
+    is listed as the engine's program type (a tuple for ``scp``, a
+    :class:`~walkmine.criterion.TosetProgram` for ``stp``). The last step
+    back gives the one group (S, S), S the source, when all of S is safe and
+    S's image covers B. Any other keeps only the pools whose image covers B,
+    and each base drawn from one takes the new suffixes to the group (base,
+    keep): B's minimal covers in the pool, or the pool itself one step
+    before the last, where the next step reads a base only through its
+    class.
 
     So programs are accepted by construction, and none is simulated. A
     start state holds: ε ends on T (exact) or on a nonempty part of T
@@ -208,32 +214,32 @@ def backward_search(g, engine, target: int, mode, alike, split, label):
     the new base's step keeps all of B, and the new M is safe: its image
     meets alike(B) only inside M, and the labelled step keeps no other
     vertex of it outside M, so the step stays in M. That holds for a cover,
-    for the pool one step before the last and for (newp, S, S); so a
-    full-length (p, S, S) runs S onto T, or into it, as ``mode`` asks, and
-    each set on the way holds a nonempty B.
+    for the pool one step before the last and for (S, S); so a full-length
+    suffix of (S, S) runs S onto T, or into it, as ``mode`` asks, and each
+    set on the way holds a nonempty B.
 
     Returns ``search(length, positions, budget, found, stats)``, a generator
-    that charges the budget and yields once per popped state and once per
+    that charges the budget and yields once per expanded group and once per
     branch of a cover listing (:func:`walkmine.setcover.cover_masks`), so a
-    race switches searches inside a long listing. It stops when the queue
-    empties or a charge is refused, and it adds each full-length suffix to
-    ``found`` while the budget admits it.
+    race switches searches inside a long listing. It stops when a depth
+    holds no group or a charge is refused, and it adds each full-length
+    suffix to ``found`` while the budget admits it.
     """
-    expanded = _STATS[engine][0]
-    seeds = start_states(target, mode)
+    expanded, program = _STATS[engine][0], _PROGRAM[engine]
+    # a depth maps (B, M) to the suffix lists its parent groups handed it,
+    # each shared by all the parent's children and merged only when the group
+    # is expanded; no level is changed once built, so every length starts
+    # from this one
+    starts = {(B, M): [[p]] for p, B, M in start_states(target, mode)}
 
     def search(length, positions, budget, found, stats):
-        queue = deque(seeds)
-        seen = set(seeds)
-        while queue and budget.charge_triple():
-            state = queue.popleft()
-            stats[expanded] += 1
-            p, B, M = state
-            left = length - len(p)  # steps back still to take
-            if left == 0:
-                if p not in found and budget.charge_program():
-                    found[p] = None
-            else:
+        level = starts
+        for left in range(length, 0, -1):  # steps back still to take
+            nxt = {}
+            for (B, M), parts in level.items():
+                if not budget.charge_triple():
+                    return
+                stats[expanded] += 1
                 base, like = positions[left - 1], alike(B)
                 allowed = None if like is None else base & ~g.in_image(like & ~M)
                 if allowed is None:
@@ -244,19 +250,29 @@ def backward_search(g, engine, target: int, mode, alike, split, label):
                 else:
                     pairs = split(allowed & g.in_image(B), allowed)
                     pairs = [(pool, keep) for pool, keep in pairs if B & ~g.out_image(pool) == 0]
-                newp = label(state, allowed) if pairs else None
+                if pairs:
+                    step = label(B, M, allowed)
+                    suffixes = dict.fromkeys(chain.from_iterable(parts))  # each suffix once, in order
+                    joined = [(step, *p) for p in suffixes]
                 for pool, keep in pairs:
                     bases = (yield from cover_masks(g, B, pool, budget)) if left > 2 else [pool]
                     if bases is None:
                         return
                     for basis in bases:
                         stats["pseudo_bases"] += 1
-                        nxt = (newp, basis, keep)
-                        if nxt in seen:
-                            stats["dedup_hits"] += 1
-                            continue
-                        seen.add(nxt)
-                        queue.append(nxt)
+                        stats["dedup_hits"] += (basis, keep) in nxt
+                        nxt.setdefault((basis, keep), []).append(joined)
+                yield
+            level = nxt
+        for parts in level.values():  # at most one group, (S, S)
+            if not budget.charge_triple():
+                return
+            stats[expanded] += 1
+            for p in chain.from_iterable(parts):
+                if p not in found:
+                    if not budget.charge_program():
+                        return
+                    found[program(p)] = None
             yield
 
     return search

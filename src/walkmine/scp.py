@@ -6,10 +6,11 @@ backward search works from the target, maintaining triples (suffix, B, M)
 whose meaning is: any start set sandwiched between B and M runs the suffix
 into the target. The default miner keeps that invariant exactly, and gives
 :func:`walkmine.mining.run_levels` two searches to race: the shared backward
-search, whose hooks name B's one colour class as the vertices a step keeping
-B also keeps and split pools into colour classes, and a forward
-subset-construction search over endpoint sets; the first to finish answers
-each length.
+search, which expands each (B, M) once for all the suffixes reaching it and
+whose hooks name B's one colour class as the vertices a step keeping B also
+keeps, split pools into colour classes and label a step with B's colour, and
+a forward subset-construction search over endpoint sets; the first to finish
+answers each length.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def _scp_searches(g, S: int, T: int, mode):
     def split(pool, safe):
         return [(pool & g.color_mask(d), safe & g.color_mask(d)) for d in g.colors_in(pool)]
 
-    def label(state, safe):
-        return (_mono_color(g, state[1]),) + state[0]
+    def label(B, M, safe):
+        return _mono_color(g, B)
 
     return [
         _forward_search(g, S, T, mode),

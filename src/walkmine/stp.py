@@ -3,12 +3,15 @@
 A toset program is a sequence of criteria; each step keeps the out-neighbours
 whose feature vectors satisfy the step's criterion. The default miner gives
 :func:`walkmine.mining.run_levels` one search to race alone: the shared
-backward search over states (p, B, M), p a criterion suffix. Its hooks name
-B's feature-vector twins (:meth:`DirectedGraph.twins`) as the vertices a step
+backward search over states (p, B, M), p a criterion suffix, which expands
+each (B, M) once for all the suffixes reaching it. Its hooks name B's
+feature-vector twins (:meth:`DirectedGraph.twins`) as the vertices a step
 keeping B also keeps, split pools into feature-vector classes, and label a
 step with the criterion that separates B from the vertices a run could leak
-to, synthesised once per run for each distinct tuple of the row classes its
-three sides meet (:func:`walkmine.criterion.criterion_memo`).
+to, a function of B, M and the safe set alone, synthesised once per run for
+each distinct tuple of the row classes its three sides meet
+(:func:`walkmine.criterion.criterion_memo`); the search puts it in front of
+each suffix of the group.
 """
 
 from __future__ import annotations
@@ -87,11 +90,10 @@ def _stp_searches(g, S: int, T: int, mode):
     # the search restarts at each length and meets the same states again
     step = criterion_memo(g)
 
-    def label(state, safe):
+    def label(B, M, safe):
         # every new state has M = safe, so the step's E side is what safe can
         # reach outside M, and the step's criterion is the same for all of
         # them; no safe vertex reaches a twin of B outside M, so it separates
-        p, B, M = state
-        return TosetProgram((step(B, M, g.out_image(safe) & ~M), *p))
+        return step(B, M, g.out_image(safe) & ~M)
 
     return [backward_search(g, "stp", T, mode, g.twins, split, label)]

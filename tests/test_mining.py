@@ -1,8 +1,12 @@
 """The per-length driver's contract, held with fake searches, and the
 backward search's step-back rules, held with fake engine hooks."""
 
-from helpers import color_graph, vs
-from walkmine.mining import Budget, MiningConfig, backward_search, run_levels
+import pytest
+
+from helpers import color_graph, scp_miner, vs
+from walkmine import scp, stp
+from walkmine.mining import Budget, MiningConfig, backward_search, render_program, run_levels
+from walkmine.stp import mine_feasible_stp
 
 ZERO = {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0, "laps": 0}
 
@@ -110,9 +114,9 @@ def _step_back(source, target, length, alike=lambda B: 0, split=None, g=_LADDER)
         calls.append(("split", pool))
         return split(pool, allowed) if split else [(pool, allowed)]
 
-    def log_label(state, allowed):
-        calls.append(("label", state[1]))
-        return ("x",) + state[0]
+    def log_label(B, M, allowed):
+        calls.append(("label", B))
+        return "x"
 
     positions = [source]
     while len(positions) <= length:
@@ -195,6 +199,44 @@ def test_bases_are_covers_until_one_step_before_the_last():
     assert found == [("x", "x", "x")]
 
 
+# s -> u; u -> t1 (red) and u -> t2 (blue)
+_FORK = color_graph(["s", "u", "t1", "t2"], ["white", "gray", "red", "blue"],
+                    [("s", "u"), ("u", "t1"), ("u", "t2")])
+
+
+@pytest.mark.parametrize("module,miner", [(scp, scp_miner("feasible", ("backward",))), (stp, mine_feasible_stp)],
+                         ids=["scp", "stp"])
+def test_suffixes_reaching_one_state_share_its_expansion(monkeypatch, module, miner):
+    """Feasibly into {t1, t2}, the suffixes red and blue both step back to
+    ({u}, {u}): the engine's hooks see that group once, and the step back
+    from it extends both suffixes."""
+    calls = []
+
+    def logged(name, hook):
+        def call(B, *rest):
+            calls.append((name, B))
+            return hook(B, *rest)
+
+        return call
+
+    def search(g, engine, target, mode, alike, split, label):
+        return backward_search(g, engine, target, mode, logged("alike", alike), split, logged("label", label))
+
+    monkeypatch.setattr(module, "backward_search", search)
+    g = _FORK
+    report = list(miner(g, vs(g, "s"), vs(g, "t1", "t2"), MiningConfig(max_len=2)))[2]
+    u = vs(g, "u").mask
+    assert calls.count(("alike", u)) == calls.count(("label", u)) == 1
+    # the groups: the two starts, ({u}, {u}) and (S, S); the second arrival at
+    # ({u}, {u}) joins the group queued by the first
+    expanded = "chains_expanded" if module is stp else "triples_expanded"
+    assert {key: report.stats[key] for key in (expanded, "pseudo_bases", "dedup_hits")} == {
+        expanded: 4, "pseudo_bases": 3, "dedup_hits": 1}
+    steps = [[step if module is scp else step["atom"]["v"] for step in render_program(g, p)]
+             for p in report.programs]
+    assert steps == [["gray", "blue"], ["gray", "red"]] and report.exhausted
+
+
 # s -> {p1, p2} -> {m1, m2, m3, m4}; m1 and m3 -> x, m2 and m4 -> y
 _GRID = color_graph(
     ["s", "p1", "p2", "m1", "m2", "m3", "m4", "x", "y"], ["gray"] * 9,
@@ -211,7 +253,7 @@ def _cover_listing(max_triples=None):
     while len(positions) <= 3:
         positions.append(g.out_image(positions[-1]))
     search = backward_search(g, "scp", vs(g, "x", "y").mask, "exact", lambda B: 0,
-                             lambda pool, allowed: [(pool, allowed)], lambda state, allowed: ("x",) + state[0])
+                             lambda pool, allowed: [(pool, allowed)], lambda B, M, allowed: "x")
     budget = Budget(MiningConfig(max_len=3, max_triples=max_triples))
     stats = {"triples_expanded": 0, "pseudo_bases": 0, "dedup_hits": 0}
     yields = sum(1 for _ in search(3, positions, budget, {}, stats))

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
+
+import pytest
 
 import literal_reference
 import walkmine.criterion
@@ -124,12 +127,40 @@ def test_report_serialization(funnel):
     assert data["programs"] == [[ATOM("color", "=", "red"), ATOM("color", "=", "green")]]
 
 
-def _planted_layered():
-    """Six layers of eight with one planted length-5 exact program."""
-    g = layered_graph([8] * 6, ["red", "green", "blue"], 3, seed=1)
-    S = g.vertex_set(range(8))
+def _planted_layered(width=8):
+    """Six layers of ``width`` with one planted length-5 exact program."""
+    g = layered_graph([width] * 6, ["red", "green", "blue"], 3, seed=1)
+    S = g.vertex_set(range(width))
     planted = name_program(g, "green", "blue", "red", "green", "blue")
     return g, S, simulate_scp(g, S, planted)[-1]
+
+
+def _full_layers(k, steps):
+    """``steps`` + 1 layers of ``k`` vertices, each vertex of its own colour
+    and each layer joined to the next in full; S the first layer, T the last.
+    The backward search's groups at depth d each carry k^d suffixes
+    (feasible) or k^(d-1) (exact), one per choice of a vertex per layer."""
+    names = [f"v{i}_{j}" for i in range(steps + 1) for j in range(k)]
+    edges = [(f"v{i}_{a}", f"v{i + 1}_{b}") for i in range(steps) for a in range(k) for b in range(k)]
+    g = feature_graph([("color", "categorical")], names, [(name,) for name in names], edges)
+    return g, g.vertex_set(range(k)), g.vertex_set(range(steps * k, (steps + 1) * k))
+
+
+@pytest.mark.parametrize("miner", [mine_exact_stp, mine_feasible_stp], ids=lambda miner: miner.__name__)
+def test_caps_hold_over_large_suffix_groups(miner):
+    """The search charges once per (B, M) group and cover branch, not per
+    suffix. A 0.05 s budget still ends each run within 60 times that: on
+    colour-only layers of width 25, where exact mining to length 5 draws
+    over a million bases, and on full layers of four colours, where the
+    last group holds 4^7 (exact) or 4^8 (feasible) suffixes. There one
+    program cap lists one program and marks the length cut off."""
+    for (g, S, T), max_len in ((_planted_layered(25), 5), (_full_layers(4, 8), 8)):
+        start = time.monotonic()
+        list(miner(g, S, T, MiningConfig(max_len=max_len, time_budget=0.05)))
+        assert time.monotonic() - start < 60 * 0.05
+    reports = list(miner(g, S, T, MiningConfig(max_len=max_len, max_programs=1)))
+    assert [len(r.programs) for r in reports] == [0] * max_len + [1]
+    assert not reports[-1].exhausted
 
 
 def _count_calls(monkeypatch, module, name, calls):

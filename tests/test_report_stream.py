@@ -34,11 +34,11 @@ RUNS = (
     ("literal", 3, (literal(mine_exact_stp), literal(mine_feasible_stp))),
 )
 REPORTS = 5463
-SHA256 = "5472851f0fa095194b23dfd357425b0b50aa90d1f05897135de129321fc4f1f6"
+SHA256 = "a8fbdf0885ca3b459570adc301ffc9d947da89be8c624c3f876b7ed5f061bbe2"
 
 STP_RUNS = (("repaired", 3, (mine_exact_stp, mine_feasible_stp)),)
-STP_REPORTS = 1590
-STP_SHA256 = "d39d59e0392f8acb919fac206d92b6148afe71096115e393db89b1f1953ba5fa"
+STP_REPORTS = 1591
+STP_SHA256 = "e24dc004d25aae0a81009b635232ef17897019ff8c0e69a426940da8fc62e048"
 
 UNCAPPED_RUNS = (RUNS[0], STP_RUNS[0])
 UNCAPPED_REPORTS = 1800
@@ -49,7 +49,7 @@ FORWARD_REPORTS = 1964
 FORWARD_SHA256 = "b4ce42abf98fdc60840b1914e11eff51fba391752fffccb63f231fb3d4216d5b"
 
 ROOT = Path(__file__).resolve().parent.parent
-CORPUS_TOTAL = "reports 31707 sha256 106578aec993802d32c73f85a606455d074f75532459eae5c4b8e2e1e356fcd7"
+CORPUS_TOTAL = "reports 31722 sha256 0c952951bacb64509d0f8309a30aa791890451bbd2c95d399aaa4b8e04ebb4f0"
 
 
 def _digest(runs, caps=(None, 7), stats=True):
