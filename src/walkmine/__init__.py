@@ -19,7 +19,6 @@ from .criterion import (
     criterion_key,
     criterion_mask,
     criterion_to_dict,
-    satisfies,
 )
 from .graph import (
     CATEGORICAL,
@@ -29,12 +28,6 @@ from .graph import (
     FeatureSchema,
     MultiGraph,
     convert_multigraph,
-    in_neighbors,
-    iterated_in,
-    iterated_out,
-    out_neighbors,
-    reachability_levels,
-    select_by_color,
 )
 from .graphio import (
     GraphFormatError,
@@ -48,23 +41,16 @@ from .mining import Budget, MiningConfig, MiningReport
 from .scp import (
     Classification,
     classify_scp,
-    covers,
-    enumerate_pseudo_bases,
-    injects,
     mine_exact_scp,
     mine_feasible_scp,
-    outspans,
     simulate_scp,
-    spans,
 )
 from .setcover import minimal_covers
 from .stp import (
     TosetProgram,
     classify_stp,
-    consistent,
     mine_exact_stp,
     mine_feasible_stp,
-    select_by_criterion,
     simulate_stp,
 )
 
@@ -91,35 +77,21 @@ __all__ = [
     "classify_scp",
     "classify_stp",
     "compute_criterion",
-    "consistent",
     "convert_multigraph",
-    "covers",
     "criterion_from_dict",
     "criterion_key",
     "criterion_mask",
     "criterion_to_dict",
-    "enumerate_pseudo_bases",
-    "in_neighbors",
-    "injects",
-    "iterated_in",
-    "iterated_out",
     "load_graph",
     "mine_exact_scp",
     "mine_exact_stp",
     "mine_feasible_scp",
     "mine_feasible_stp",
     "minimal_covers",
-    "out_neighbors",
-    "outspans",
     "parse_vertex_set",
-    "reachability_levels",
-    "satisfies",
-    "select_by_color",
-    "select_by_criterion",
     "serialize_graph",
     "serialize_vertex_set",
     "simulate_scp",
     "simulate_stp",
-    "spans",
     "to_dot",
 ]

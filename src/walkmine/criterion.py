@@ -86,22 +86,6 @@ class AnyOf(_Junction):
 Criterion = Union[Atom, AllOf, AnyOf]
 
 
-def satisfies(vector: Sequence, crit: Criterion) -> bool:
-    """Does a feature vector satisfy a criterion?"""
-    if isinstance(crit, Atom):
-        if not 0 <= crit.dim < len(vector):
-            raise ValueError(f"criterion references dimension {crit.dim} outside the schema")
-        x = vector[crit.dim]
-        if crit.op == "=":
-            return x == crit.value
-        return x is not None and _ORDER[crit.op](x, crit.value)
-    if isinstance(crit, AllOf):
-        return all(satisfies(vector, item) for item in crit.items)
-    if isinstance(crit, AnyOf):
-        return any(satisfies(vector, item) for item in crit.items)
-    raise TypeError(f"not a criterion: {crit!r}")
-
-
 def _atom_mask(rows: Sequence[Sequence], d: int, op: str, value) -> int:
     """Mask of the indices of ``rows`` whose vectors satisfy the atom (d, op, value)."""
     if op == "=":
@@ -244,7 +228,8 @@ def criterion_memo(g: DirectedGraph):
     key is the classes of rows meeting it, by first member there. Rows group
     by spelling (``repr``), not by ``==``, which merges ``1`` with ``1.0`` and
     ``0.0`` with ``-0.0``. Each distinct key triple is synthesised once per
-    ``step``, one per mining run; the classes are grouped on its first call.
+    ``step``, one per mining run; the classes depend on the graph alone, so
+    the first call of any ``step`` groups them and keeps them on the graph.
     """
     classes = None
 
@@ -269,7 +254,9 @@ def criterion_memo(g: DirectedGraph):
     def step(B: int, M: int, E: int):
         nonlocal classes
         if classes is None:
-            classes = _classes([(repr(row), row) for row in g.rows])
+            if g._spellings is None:
+                g._spellings = _classes([(repr(row), row) for row in g.rows])
+            classes = g._spellings
         return synthesise(key(B), key(M), key(E))
 
     return step

@@ -1,12 +1,13 @@
-"""Feature-labelled directed graphs and the neighbourhood algebra on them.
+"""Feature-labelled directed graphs and the mask images the miners walk with.
 
 Vertices carry a fixed-width feature vector described by a shared schema.
 One categorical dimension (by default the one named ``color``) is designated
-as the walk colour used by colour programs. Vertex sets are bitmasks, so all
-set-level neighbourhood operators are bulk bit operations. Graphs with many
-vertices keep their out-edges and in-edges as numpy arrays in compressed
-sparse row (CSR) form instead, and an image there costs O(n/8) for the mask
-plus the edges of the active vertices' rows.
+as the walk colour used by colour programs. Vertex sets are bitmasks, so an
+image (:meth:`DirectedGraph.out_image`, :meth:`DirectedGraph.in_image`) is a
+bulk bit operation. Graphs with many vertices keep their out-edges and
+in-edges as numpy arrays in compressed sparse row (CSR) form instead, and an
+image there costs O(n/8) for the mask plus the edges of the active
+vertices' rows.
 
 :meth:`DirectedGraph.step` is one step of a program run: the kept out-image
 of a set and the set's vertices with no out-neighbour kept. On int masks one
@@ -239,9 +240,11 @@ class DirectedGraph(_VertexTable):
             self.num_edges = sum(m.bit_count() for m in out)
             self._out_masks = out
             self._in_masks = inc
-        # the colour and the feature-vector classes, grouped on first use
+        # the colour and the feature-vector classes, grouped on first use;
+        # the rows grouped by spelling, by criterion.criterion_memo
         self._colors: Optional[_Classes] = None
         self._vectors: Optional[_Classes] = None
+        self._spellings: Optional[_Classes] = None
         # criterion -> mask of the vertices satisfying it, filled by
         # criterion.criterion_mask
         self._criterion_masks: dict = {}
@@ -436,65 +439,3 @@ def convert_multigraph(mg: MultiGraph) -> DirectedGraph:
         simple_edges.append((s, mid))
         simple_edges.append((mid, d))
     return DirectedGraph(mg.schema, list(names), rows, simple_edges, color_dim=mg.color_dim)
-
-
-# -- set-level operators ----------------------------------------------------
-
-
-def _walk(g: DirectedGraph, vs: VertexSet, k: int, image) -> VertexSet:
-    """The set ``k`` applications of ``image`` take ``vs`` to."""
-    if k < 0:
-        raise ValueError("step count must be non-negative")
-    g.check_universe(vs)
-    mask = vs.mask
-    for _ in range(k):
-        if not mask:
-            break
-        mask = image(mask)
-    return VertexSet(g.n, mask)
-
-
-def out_neighbors(g: DirectedGraph, vs: VertexSet) -> VertexSet:
-    """Vertices reachable from ``vs`` by exactly one edge."""
-    return _walk(g, vs, 1, g.out_image)
-
-
-def in_neighbors(g: DirectedGraph, vs: VertexSet) -> VertexSet:
-    """Vertices with at least one edge into ``vs``."""
-    return _walk(g, vs, 1, g.in_image)
-
-
-def iterated_out(g: DirectedGraph, vs: VertexSet, k: int) -> VertexSet:
-    """Vertices reachable from ``vs`` by walks of exactly ``k`` edges."""
-    return _walk(g, vs, k, g.out_image)
-
-
-def iterated_in(g: DirectedGraph, vs: VertexSet, k: int) -> VertexSet:
-    return _walk(g, vs, k, g.in_image)
-
-
-def select_by_color(g: DirectedGraph, vs: VertexSet, color: str) -> VertexSet:
-    """Subset of ``vs`` whose colour is ``color`` (empty for unknown colours)."""
-    g.check_universe(vs)
-    return VertexSet(g.n, vs.mask & g.color_mask(g.color_id(color)))
-
-
-def reachability_levels(g: DirectedGraph, source: VertexSet, target: VertexSet, max_len: int) -> list[int]:
-    """Walk lengths ``0..max_len`` at which some target vertex is reached.
-
-    Length ``l`` is reported when the set of vertices exactly ``l`` steps
-    from the source meets the target set.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    g.check_universe(source, target)
-    levels = []
-    mask = source.mask
-    for level in range(max_len + 1):
-        if mask & target.mask:
-            levels.append(level)
-        if level < max_len:
-            mask = g.out_image(mask)
-            if not mask:
-                break
-    return levels

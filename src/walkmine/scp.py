@@ -1,4 +1,4 @@
-"""Colour programs: simulation, classification, predicates, and mining.
+"""Colour programs: simulation, classification, and mining.
 
 A colour program is a sequence of colour ids. Run from a vertex set, each
 step moves to all out-neighbours and keeps those of the step's colour. The
@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .bitset import VertexSet, iter_bits
+from .bitset import VertexSet
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, MiningConfig, MiningReport, backward_search, run_levels
-from .setcover import minimal_covers
 
 INFEASIBLE = "infeasible"
 COMPLETE_HALT = "complete_halt"
@@ -115,54 +114,6 @@ def classify_scp(
     g: DirectedGraph, source: VertexSet, target: VertexSet, program: tuple[int, ...]
 ) -> Classification:
     return classify_run(g, source, target, map(g.color_mask, program))
-
-
-# -- predicate algebra --------------------------------------------------------
-
-
-def _image(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> int:
-    """The c-coloured out-image of A, once A and B are checked to be sets of g."""
-    g.check_universe(A, B)
-    return g.out_image(A.mask) & g.color_mask(c)
-
-
-def covers(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
-    """Does the c-coloured out-image of A contain B?"""
-    return B.mask & ~_image(g, A, B, c) == 0
-
-
-def outspans(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
-    """Does the c-coloured out-image of A leak outside B?"""
-    return _image(g, A, B, c) & ~B.mask != 0
-
-
-def injects(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
-    """Is the c-coloured out-image of A nonempty and inside B?"""
-    img = _image(g, A, B, c)
-    return img != 0 and img & ~B.mask == 0
-
-
-def spans(g: DirectedGraph, A: VertexSet, B: VertexSet, c: int) -> bool:
-    """Is the c-coloured out-image of A exactly B (it covers B and does not outspan it)?"""
-    return _image(g, A, B, c) == B.mask
-
-
-def enumerate_pseudo_bases(
-    g: DirectedGraph, pool: VertexSet, B: VertexSet, M: VertexSet, c: int
-) -> Iterator[VertexSet]:
-    """Minimal subsets of ``pool`` whose c-image covers B without leaving M.
-
-    Members whose own c-image leaks outside M are excluded up front; the
-    union of per-member images stays in M exactly when each one does. Yields
-    in lexicographic order of sorted member ids.
-    """
-    g.check_universe(pool, B, M)
-    if not B:
-        raise ValueError("pseudo-bases are defined for nonempty B")
-    cmask = g.color_mask(c)
-    tight = pool.mask & ~g.in_image(cmask & ~M.mask) if B.mask & ~cmask == 0 else 0
-    for ids in minimal_covers(B.mask, [(v, g.out_mask(v) & B.mask) for v in iter_bits(tight)]):
-        yield VertexSet.from_ids(g.n, ids)
 
 
 # -- mining -------------------------------------------------------------------

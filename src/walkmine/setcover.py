@@ -21,7 +21,9 @@ def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[
     """
     cands = sorted((vid, img & target) for vid, img in candidates)
     cands = [(vid, img) for vid, img in cands if img]
-    stack = [(0, 0, (), frozenset())]  # branches to take: (covered, twice, chosen, banned)
+    # branches to take: (covered, twice, chosen, banned), ``banned`` a mask
+    # over positions in ``cands``
+    stack = [(0, 0, (), 0)]
     while stack:
         covered, twice, chosen, banned = stack.pop()
         if covered == target:
@@ -31,16 +33,19 @@ def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[
         # branch on the lowest uncovered element; each surviving cover picks
         # its smallest-id member covering it, so no cover appears twice
         low = (target & ~covered) & -(target & ~covered)
-        options = [(vid, img) for vid, img in cands if img & low and vid not in banned]
-        for i, (vid, img) in reversed(list(enumerate(options))):  # pushed last first, taken in order
+        children = []
+        for pos, (vid, img) in enumerate(cands):
+            if not img & low or banned >> pos & 1:
+                continue
             # ``twice`` holds the elements covered at least twice; a chosen
             # member whose mask lies inside it has no private element left and
             # stays redundant in every superset, so the branch is cut (the new
             # member keeps ``low`` to itself)
             dup = twice | (covered & img)
             if dup == twice or all(m & ~dup for _, m in chosen):
-                skipped = banned.union(v for v, _ in options[:i])
-                stack.append((covered | img, dup, chosen + ((vid, img),), skipped))
+                children.append((covered | img, dup, chosen + ((vid, img),), banned))
+            banned |= 1 << pos  # later options skip this one: one OR per option
+        stack.extend(reversed(children))  # pushed last first, taken in order
 
 
 def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> list[tuple]:

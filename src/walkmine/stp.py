@@ -19,18 +19,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from .bitset import VertexSet
-from .criterion import Criterion, TosetProgram, criterion_mask, criterion_memo
+from .criterion import TosetProgram, criterion_mask, criterion_memo
 from .graph import DirectedGraph
 from .mining import EXACT, FEASIBLE, MiningConfig, MiningReport, backward_search, run_levels
 from .scp import Classification, classify_run
 # unused here, but bench/test_reference.py reads stp.minimal_covers
 from .setcover import minimal_covers
-
-
-def select_by_criterion(g: DirectedGraph, A: VertexSet, crit: Criterion) -> VertexSet:
-    """Subset of ``A`` whose feature vectors satisfy the criterion."""
-    g.check_universe(A)
-    return VertexSet(g.n, A.mask & criterion_mask(g, crit))
 
 
 def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet]:
@@ -47,17 +41,6 @@ def simulate_stp(g: DirectedGraph, source: VertexSet, program) -> list[VertexSet
 def classify_stp(g: DirectedGraph, source: VertexSet, target: VertexSet, program) -> Classification:
     keeps = (criterion_mask(g, crit) for crit in program)
     return classify_run(g, source, target, keeps)
-
-
-def consistent(g: DirectedGraph, A: VertexSet, b_side: VertexSet, e_side: VertexSet) -> bool:
-    """No feature-vector collision between the two out-neighbour groups of A."""
-    g.check_universe(A, b_side, e_side)
-    if b_side.mask & e_side.mask:
-        raise ValueError("the two sides must be disjoint")
-    out = g.out_image(A.mask)
-    if (b_side.mask | e_side.mask) & ~out:
-        raise ValueError("both sides must be out-neighbours of A")
-    return g.twins(b_side.mask) & e_side.mask == 0
 
 
 # -- mining -------------------------------------------------------------------

@@ -12,6 +12,15 @@ import pytest
 from helpers import mine_all, name_program
 from literal_reference import literal
 from oracle_reference import brute_force_mine_scp, walk_traces
+from paper_reference import (
+    in_neighbors,
+    iterated_in,
+    out_neighbors,
+    outspans,
+    satisfies,
+    select_by_color,
+    spans,
+)
 from walkmine import (
     Atom,
     Dimension,
@@ -24,19 +33,12 @@ from walkmine import (
     classify_scp,
     classify_stp,
     compute_criterion,
-    in_neighbors,
-    iterated_in,
     mine_exact_scp,
     mine_exact_stp,
     mine_feasible_scp,
     mine_feasible_stp,
-    out_neighbors,
-    outspans,
-    satisfies,
-    select_by_color,
     simulate_scp,
     simulate_stp,
-    spans,
 )
 from walkmine.generate import layered_graph, random_instance
 from walkmine.graph import CATEGORICAL, ORDERED

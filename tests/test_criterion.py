@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from paper_reference import satisfies, select_by_criterion
 from walkmine.criterion import (
     AllOf,
     AnyOf,
@@ -19,12 +20,11 @@ from walkmine.criterion import (
     criterion_key,
     criterion_mask,
     criterion_to_dict,
-    satisfies,
 )
 from walkmine.bitset import VertexSet, mask_of
 from walkmine.generate import random_instance
 from walkmine.graph import _DENSE_LIMIT, CATEGORICAL, ORDERED, Dimension, DirectedGraph, FeatureSchema
-from walkmine.stp import TosetProgram, select_by_criterion, simulate_stp
+from walkmine.stp import TosetProgram, simulate_stp
 
 CN = FeatureSchema((Dimension("color", CATEGORICAL), Dimension("n", ORDERED)))
 N1 = FeatureSchema((Dimension("n", ORDERED),))

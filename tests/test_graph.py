@@ -8,6 +8,21 @@ import walkmine.graph as graphmod
 from helpers import color_graph, feature_graph, vs
 from literal_reference import literal
 from oracle_reference import count_walks, walk_traces
+from paper_reference import (
+    consistent,
+    covers,
+    enumerate_pseudo_bases,
+    in_neighbors,
+    injects,
+    iterated_in,
+    iterated_out,
+    out_neighbors,
+    outspans,
+    reachability_levels,
+    select_by_color,
+    select_by_criterion,
+    spans,
+)
 from walkmine.bitset import VertexSet, iter_bits, mask_of
 from walkmine.criterion import Atom
 from walkmine.generate import random_instance
@@ -20,27 +35,16 @@ from walkmine.graph import (
     FeatureSchema,
     MultiGraph,
     convert_multigraph,
-    in_neighbors,
-    iterated_in,
-    iterated_out,
-    out_neighbors,
-    reachability_levels,
-    select_by_color,
 )
 from walkmine.graphio import load_graph, serialize_graph
 from walkmine.mining import MiningConfig
 from walkmine.scp import (
     classify_scp,
-    covers,
-    enumerate_pseudo_bases,
-    injects,
     mine_exact_scp,
     mine_feasible_scp,
-    outspans,
     simulate_scp,
-    spans,
 )
-from walkmine.stp import classify_stp, consistent, select_by_criterion, simulate_stp
+from walkmine.stp import classify_stp, simulate_stp
 
 
 def small_graph():

@@ -163,6 +163,30 @@ def test_caps_hold_over_large_suffix_groups(miner):
     assert not reports[-1].exhausted
 
 
+def _twin_funnel(k):
+    """S -> a -> k feature-vector twins w_i -> x -> t1..t4, one colour per
+    layer: the backward search's step from {x} has k one-vertex covers,
+    all listed in one branch of ``iter_covers``."""
+    names = ["S", "a", *(f"w{i}" for i in range(k)), "x", "t1", "t2", "t3", "t4"]
+    rows = [("s",), ("a",), *[("w",)] * k, ("x",), *[("t",)] * 4]
+    edges = [("S", "a"), ("x", "t1"), ("x", "t2"), ("x", "t3"), ("x", "t4")]
+    edges += [(u, v) for i in range(k) for u, v in (("a", f"w{i}"), (f"w{i}", "x"))]
+    g = feature_graph([("color", "categorical")], names, rows, edges)
+    return g, vs(g, "S"), vs(g, "t1", "t2", "t3", "t4")
+
+
+@pytest.mark.parametrize("miner", [mine_exact_stp, mine_feasible_stp], ids=lambda miner: miner.__name__)
+def test_caps_hold_over_one_wide_cover_branch(miner):
+    """A branch that pushes one child per option does linear work between
+    two charges, so a 0.1 s budget ends within 60 times that with 12,000
+    options in the branch. Each child once copied the options before it,
+    which is quadratic."""
+    g, S, T = _twin_funnel(12_000)
+    start = time.monotonic()
+    list(miner(g, S, T, MiningConfig(max_len=4, time_budget=0.1)))
+    assert time.monotonic() - start < 60 * 0.1
+
+
 def _count_calls(monkeypatch, module, name, calls):
     """Count the calls of ``module.name`` into the Counter ``calls``."""
     fn = getattr(module, name)
@@ -241,6 +265,17 @@ def test_memo_lives_for_one_run(monkeypatch):
         monkeypatch.undo()
         counts.append(calls["compute_criterion"])
     assert counts[0] == counts[1] > 0
+
+
+def test_rows_grouped_by_spelling_once_per_graph(monkeypatch):
+    """The synthesis memo lives for one run, but its grouping of the rows by
+    spelling depends on the graph alone, so a second run reuses it."""
+    g, S, T = _planted_layered()
+    calls = Counter()
+    _count_calls(monkeypatch, walkmine.criterion, "_classes", calls)
+    for miner in (mine_exact_stp, mine_feasible_stp):
+        list(miner(g, S, T, MiningConfig(max_len=5)))
+    assert calls["_classes"] == 1
 
 
 def test_inseparable_hits_count_every_time(monkeypatch):

@@ -6,16 +6,12 @@ import random
 import pytest
 
 from helpers import color_graph, name_program, vs
+from paper_reference import covers, enumerate_pseudo_bases, injects, outspans, spans
 from walkmine.bitset import VertexSet
 from walkmine.scp import (
     Classification,
     classify_scp,
-    covers,
-    enumerate_pseudo_bases,
-    injects,
-    outspans,
     simulate_scp,
-    spans,
 )
 
 

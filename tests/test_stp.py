@@ -1,13 +1,12 @@
 import pytest
 
 from helpers import color_graph, feature_graph, vs
+from paper_reference import consistent, select_by_criterion
 from walkmine import criterion
 from walkmine.criterion import AllOf, AnyOf, Atom, criterion_from_dict, criterion_mask
 from walkmine.stp import (
     TosetProgram,
     classify_stp,
-    consistent,
-    select_by_criterion,
     simulate_stp,
 )
 
