@@ -7,8 +7,9 @@ tag ``"all"``/``"any"``, so they hash and compare as tuples do, in C, and
 copy and pickle through their validating constructors. Missing values fail
 every order comparison; ``= Missing`` is the explicit presence test.
 ``compute_criterion`` builds a criterion that accepts a set of feature
-vectors B and rejects a set E by growing a binary decision tree and reading
-off the B-leaf paths. A criterion program (``TosetProgram``) is the tuple
+vectors B and rejects a set E by growing a binary decision tree, its
+candidate splits point masks built once per call, and reading off the
+B-leaf paths. A criterion program (``TosetProgram``) is the tuple
 of its step criteria, one per step, and hashes and compares as that tuple.
 """
 
@@ -19,7 +20,7 @@ import operator
 from functools import cache, reduce
 from typing import Sequence, Union
 
-from .bitset import iter_bits, mask_of
+from .bitset import mask_of
 from .graph import ORDERED, DirectedGraph, FeatureSchema, _bad_value, _classes
 
 OPS = ("<", "<=", "=", ">=", ">")
@@ -36,7 +37,9 @@ class Atom(tuple):
             raise ValueError(f"unknown operator {op!r}")
         if op != "=" and value is None:
             raise ValueError("order comparisons cannot use a missing threshold")
-        return tuple.__new__(cls, (dim, op, value))
+        # a float dim would equal and hash as the int one, and so be handed
+        # that atom's cached mask and key; a numpy int or a bool becomes the int
+        return tuple.__new__(cls, (operator.index(dim), op, value))
 
     dim = property(operator.itemgetter(0))
     op = property(operator.itemgetter(1))
@@ -141,11 +144,13 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
         points.setdefault(tuple(vec), 1)
     if not points:
         raise ValueError("B must be nonempty")
+    nb = len(points)
     for vec in e_vectors:
         t = tuple(vec)
         if points.get(t) == 1:
             raise InseparableError(t, t)
         points.setdefault(t, -1)
+    ne = len(points)
     for vec in m_vectors:
         points.setdefault(tuple(vec), 0)
     for t in points:
@@ -153,64 +158,66 @@ def compute_criterion(b_vectors, m_vectors, e_vectors, schema: FeatureSchema) ->
             raise ValueError("vector width differs from schema")
 
     vecs = list(points)
-    b_mask = mask_of(i for i, label in enumerate(points.values()) if label == 1)
-    e_mask = mask_of(i for i, label in enumerate(points.values()) if label == -1)
-    # per-dimension non-missing values, in first-appearance order
-    values = [list(dict.fromkeys(v[d] for v in vecs if v[d] is not None)) for d in range(width)]
+    b_mask, e_mask = (1 << nb) - 1, (1 << ne) - (1 << nb)  # B points come first, then E, then M
 
-    def candidates(node):
-        """Candidate atoms for a node's split, as (dim, op, value) keys."""
-        members = [vecs[i] for i in iter_bits(node)]
-        for d in range(width):
-            seen = {vec[d] for vec in members}
-            if schema.kind_of(d) == ORDERED:
-                for v in sorted(x for x in seen if x is not None):
-                    yield d, "<=", v
-            else:
-                for v in values[d]:
-                    if v in seen:
-                        yield d, "=", v
-                if None in seen:
-                    yield d, "=", None
-
-    def complement(atom: Atom) -> Criterion:
-        d = atom.dim
-        if atom.op == "<=":
-            return AnyOf((Atom(d, ">", atom.value), Atom(d, "=", None)))
-        return AnyOf(tuple(Atom(d, "=", v) for v in values[d] + [None] if v != atom.value))
+    # Candidate splits, built once as (side, dim, op, value, group). Points
+    # group by value (==) in first-appearance order. An ordered dimension
+    # splits at "<=" each value in sorted order, ``side`` the union of the
+    # groups so far, spelt as the node's first member in ``group`` spells it
+    # (1 or 1.0); a categorical one at "=" each value, then "= None". A value
+    # absent from a node gives it an empty side or an earlier candidate's,
+    # which the strict > never takes, so a node tests each with one AND.
+    splits = []
+    values = []  # per dimension, the present values in first-appearance order
+    for d in range(width):
+        groups: dict = {}
+        for i, vec in enumerate(vecs):
+            groups[vec[d]] = groups.get(vec[d], 0) | 1 << i
+        missing = groups.pop(None, 0)
+        values.append(list(groups))
+        if schema.kind_of(d) == ORDERED:
+            side = 0
+            for v in sorted(groups):
+                side |= groups[v]
+                splits.append((side, d, "<=", v, groups[v]))
+        else:
+            splits += [(mask, d, "=", v, mask) for v, mask in groups.items()]
+            if missing:
+                splits.append((missing, d, "=", None, missing))
 
     paths: list[list] = []
-    point_masks: dict = {}  # atom key -> mask of the points satisfying it
 
     def grow(node, path):
-        pos, neg = (node & b_mask).bit_count(), (node & e_mask).bit_count()
         if node & ~b_mask == 0:
             paths.append(path)
             return
-        if pos == 0:
-            return
+        pos, neg = (node & b_mask).bit_count(), (node & e_mask).bit_count()
         # A split's Gini gain is parent - 1 + S/total, where
         # S = (tp²+tn²)/(tp+tn) + (fp²+fn²)/(fp+fn) and an empty side adds 0,
         # so the largest S wins; compare S = num/den by cross-multiplying.
         # The strict > keeps the first candidate on a tie.
-        best = None
-        for key in candidates(node):
-            mask = point_masks.get(key)
-            if mask is None:
-                mask = point_masks[key] = _atom_mask(vecs, *key)
-            true_side = node & mask
-            if true_side == 0 or true_side == node:
-                continue
-            tp, tn = (true_side & b_mask).bit_count(), (true_side & e_mask).bit_count()
-            fp, fn = pos - tp, neg - tn
-            a, c = (tp + tn) or 1, (fp + fn) or 1
-            num, den = (tp * tp + tn * tn) * c + (fp * fp + fn * fn) * a, a * c
-            if best is None or num * best[1] > best[0] * den:
-                best = (num, den, key, true_side)
-        _, _, key, true_side = best
-        atom = Atom(*key)
-        grow(true_side, path + [atom])
-        grow(node & ~true_side, path + [complement(atom)])
+        best_num, best_den = -1, 1
+        for split in splits:
+            side = node & split[0]
+            if side and side != node:
+                tp, tn = (side & b_mask).bit_count(), (side & e_mask).bit_count()
+                fp, fn = pos - tp, neg - tn
+                a, c = (tp + tn) or 1, (fp + fn) or 1
+                num, den = (tp * tp + tn * tn) * c + (fp * fp + fn * fn) * a, a * c
+                if num * best_den > best_num * den:
+                    best_num, best_den, best, true_side = num, den, split, side
+        _, d, op, value, group = best
+        if op == "<=":
+            first = node & group
+            value = vecs[(first & -first).bit_length() - 1][d]
+        if true_side & b_mask:
+            grow(true_side, path + [Atom(d, op, value)])
+        if node & ~true_side & b_mask:
+            if op == "<=":
+                other = AnyOf((Atom(d, ">", value), Atom(d, "=", None)))
+            else:
+                other = AnyOf(tuple(Atom(d, "=", v) for v in values[d] + [None] if v != value))
+            grow(node & ~true_side, path + [other])
 
     grow((1 << len(vecs)) - 1, [])
     if paths == [[]]:

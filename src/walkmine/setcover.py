@@ -1,33 +1,25 @@
 """Minimal set covers over bitmask universes, enumerated one branch at a
 time, and the charged cover listing every backward search draws its bases
-from."""
+from. Both run one depth-first search, which yields each cover as a mask of
+its member ids."""
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .bitset import iter_bits, mask_of
+from .bitset import iter_bits
 
 
-def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[Optional[tuple[int, ...]]]:
-    """The minimal covers of ``target`` drawn from ``candidates``, one branch at a time.
-
-    ``candidates`` pairs a member id with the mask it covers. A cover is a
-    set of members whose masks jointly contain the target; it is minimal when
-    dropping any member breaks that. The search is depth-first over an
-    explicit stack, not recursion. It yields each cover as a sorted id
-    tuple, and None before each branch, where a caller may charge or stop;
-    a branch is a partial cover, extended by one member per option.
-    """
-    cands = sorted((vid, img & target) for vid, img in candidates)
-    cands = [(vid, img) for vid, img in cands if img]
-    # branches to take: (covered, twice, chosen, banned), ``banned`` a mask
-    # over positions in ``cands``
-    stack = [(0, 0, (), 0)]
+def _covers(target: int, cands: Sequence[tuple[int, int]]) -> Iterator[Optional[int]]:
+    """:func:`iter_covers`' search over ``cands`` trimmed to ``target``,
+    nonempty and sorted by id, yielding each cover as a mask of member ids."""
+    # branches to take: (covered, twice, chosen masks, banned, ids), ``banned``
+    # a mask over positions in ``cands`` and ``ids`` over the chosen ids
+    stack = [(0, 0, (), 0, 0)]
     while stack:
-        covered, twice, chosen, banned = stack.pop()
+        covered, twice, chosen, banned, ids = stack.pop()
         if covered == target:
-            yield tuple(sorted(vid for vid, _ in chosen))
+            yield ids
             continue
         yield None
         # branch on the lowest uncovered element; each surviving cover picks
@@ -42,10 +34,25 @@ def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[
             # stays redundant in every superset, so the branch is cut (the new
             # member keeps ``low`` to itself)
             dup = twice | (covered & img)
-            if dup == twice or all(m & ~dup for _, m in chosen):
-                children.append((covered | img, dup, chosen + ((vid, img),), banned))
+            if dup == twice or all(m & ~dup for m in chosen):
+                children.append((covered | img, dup, chosen + (img,), banned, ids | 1 << vid))
             banned |= 1 << pos  # later options skip this one: one OR per option
         stack.extend(reversed(children))  # pushed last first, taken in order
+
+
+def iter_covers(target: int, candidates: Sequence[tuple[int, int]]) -> Iterator[Optional[tuple[int, ...]]]:
+    """The minimal covers of ``target`` drawn from ``candidates``, one branch at a time.
+
+    ``candidates`` pairs a distinct member id with the mask it covers. A
+    cover is a set of members whose masks jointly contain the target; it is
+    minimal when dropping any member breaks that. The search is depth-first
+    over an explicit stack, not recursion. It yields each cover as a sorted
+    id tuple, and None before each branch, where a caller may charge or
+    stop; a branch is a partial cover, extended by one member per option.
+    """
+    cands = [(vid, img) for vid, img in sorted((vid, img & target) for vid, img in candidates) if img]
+    for ids in _covers(target, cands):
+        yield None if ids is None else tuple(iter_bits(ids))
 
 
 def minimal_covers(target_mask: int, candidates: Sequence[tuple[int, int]]) -> list[tuple]:
@@ -61,14 +68,14 @@ def cover_masks(g, B: int, pool: int, budget):
     ``budget.charge_triple()`` and one ``yield`` per branch of
     :func:`iter_covers`, and returns the covers as int masks over ``g``'s
     vertices, in lexicographic order of sorted member ids, or None once a
-    charge is refused.
+    charge is refused. The pool lists its images by id, so none is re-sorted.
     """
     drawn = []
-    for cover in iter_covers(B, [(v, g.out_mask(v) & B) for v in iter_bits(pool)]):
-        if cover is not None:
-            drawn.append(cover)
+    for ids in _covers(B, [(v, img) for v in iter_bits(pool) if (img := g.out_mask(v) & B)]):
+        if ids is not None:
+            drawn.append(ids)
         elif not budget.charge_triple():
             return None
         else:
             yield
-    return [mask_of(ids) for ids in sorted(drawn)]
+    return sorted(drawn, key=lambda ids: tuple(iter_bits(ids)))

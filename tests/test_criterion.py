@@ -5,10 +5,13 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import criterion_reference
 from paper_reference import satisfies, select_by_criterion
 from walkmine.criterion import (
     AllOf,
@@ -40,6 +43,22 @@ def test_atom_validation():
         Atom(dim=0, op=">=")
     Atom(0, "=", None)  # presence test is fine
     assert Atom(0, "=") == Atom(dim=0, op="=", value=None)
+
+
+def test_atom_dimension_is_an_index():
+    g = random_instance(3, extra_dims=1).graph
+    int_atom = Atom(1, "<=", 1)
+    criterion_mask(g, int_atom)
+    TosetProgram((int_atom,)).key(g)
+    # equal to the cached int atom as a tuple, but no dimension
+    for dim in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            Atom(dim, "<=", 1)
+    for dim in (np.int64(1), np.uint8(1), True):
+        atom = Atom(dim, "<=", 1)
+        assert type(atom.dim) is int and atom == int_atom and repr(atom) == repr(int_atom)
+        assert criterion_mask(g, atom) == criterion_mask(g, int_atom)
+        assert pickle.loads(pickle.dumps(atom)) == int_atom
 
 
 def test_boolean_nodes_must_be_nonempty():
@@ -384,6 +403,56 @@ def test_split_choices_pinned_on_mixed_kinds():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert lines.count("inseparable") == 401
     assert digest == "bb5a056278d4ae9baf162208bbb0b1803239b233716e00cc658b9b0360ece44e"
+
+
+def _spelled_vector(rng, schema):
+    """A vector over ``schema`` whose ordered values mix 1 with 1.0, 0.0
+    with -0.0 and other floats, and whose values are missing at times."""
+    out = []
+    for d in schema.dims:
+        if rng.random() < 0.15:
+            out.append(None)
+        elif d.kind == ORDERED:
+            out.append(rng.choice((0, 0.0, -0.0, 1, 1.0, 2, 2.5, -1.5)))
+        else:
+            out.append(rng.choice("abc"))
+    return tuple(out)
+
+
+def _outcome(synthesise, *args):
+    try:
+        return repr(synthesise(*args))
+    except Exception as err:  # the same failure is part of the same outcome
+        return type(err), str(err)
+
+
+def test_synthesis_matches_the_reference_tree():
+    # criterion for criterion, spelling for spelling, as the reference tree
+    # that rebuilds each node's candidates; failures raise the same error
+    rng = random.Random(43)
+    seen = Counter()
+    for _ in range(4000):
+        sch = FeatureSchema(tuple(
+            Dimension(f"d{i}", rng.choice((CATEGORICAL, ORDERED))) for i in range(rng.randint(1, 4))
+        ))
+        b = [_spelled_vector(rng, sch) for _ in range(rng.randint(0, 5))]
+        m = [_spelled_vector(rng, sch) for _ in range(rng.randint(0, 4))]
+        e = [_spelled_vector(rng, sch) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.02:
+            m.append(_spelled_vector(rng, sch)[1:])  # a vector narrower than the schema
+        if rng.random() < 0.02:
+            sch = FeatureSchema(())
+        got = _outcome(compute_criterion, b, m, e, sch)
+        assert got == _outcome(criterion_reference.compute_criterion, b, m, e, sch), (b, m, e)
+        if isinstance(got, tuple):
+            seen[got[0].__name__, got[1].split(":")[0]] += 1
+        else:
+            seen.update(s for s in ("value=1)", "value=1.0)", "value=0.0)", "value=-0.0)") if s in got)
+    assert set(seen) == {
+        ("InseparableError", "inseparable"), ("ValueError", "B must be nonempty"),
+        ("ValueError", "vector width differs from schema"), ("ValueError", "schema has no dimensions"),
+        "value=1)", "value=1.0)", "value=0.0)", "value=-0.0)",
+    }
 
 
 def _random_criterion(rng, g, kinds, depth=2):

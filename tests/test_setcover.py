@@ -2,7 +2,7 @@ import random
 
 from helpers import color_graph
 from oracle_reference import minimal_covers_bruteforce
-from walkmine.bitset import VertexSet, mask_of
+from walkmine.bitset import VertexSet, iter_bits, mask_of
 from walkmine.mining import Budget, MiningConfig
 from walkmine.setcover import cover_masks, iter_covers, minimal_covers
 
@@ -74,6 +74,36 @@ def test_cover_masks_charges_each_branch():
         budget = Budget(MiningConfig(max_len=0, max_triples=cap))
         assert _drive(cover_masks(g, B, pool, budget)) == (cap, None)
         assert budget.triples == cap + 1 and budget.tripped
+
+
+def test_cover_masks_agrees_with_the_adapters_on_random_inputs():
+    # the charged listing and the id-tuple adapters run one search: same
+    # covers in the same order, one charge and one yield per branch, and a
+    # cap stops the listing after exactly that many yields
+    rng = random.Random(19)
+    widest = 0
+    for _ in range(200):
+        n = rng.randint(2, 14)
+        ids = list(range(n))
+        rng.shuffle(ids)  # pool and targets interleave in id order
+        members, targets = ids[: rng.randint(1, n - 1)], ids[n // 2:]
+        edges = [(f"v{u}", f"v{t}") for u in members for t in targets if u != t and rng.random() < 0.35]
+        g = color_graph([f"v{i}" for i in range(n)], ["red"] * n, edges)
+        B = mask_of(t for t in targets if rng.random() < 0.7)
+        pool = mask_of(u for u in members if rng.random() < 0.8)
+        cands = [(v, g.out_mask(v)) for v in iter_bits(pool)]  # untrimmed
+        rng.shuffle(cands)
+        branches = sum(cover is None for cover in iter_covers(B, cands))
+        widest = max(widest, branches)
+        budget = Budget(MiningConfig(max_len=0))
+        yields, masks = _drive(cover_masks(g, B, pool, budget))
+        assert masks == [mask_of(cover) for cover in minimal_covers(B, cands)]
+        assert yields == budget.triples == branches
+        for cap in range(1, branches):  # a cap is at least 1
+            budget = Budget(MiningConfig(max_len=0, max_triples=cap))
+            assert _drive(cover_masks(g, B, pool, budget)) == (cap, None)
+            assert budget.triples == cap + 1 and budget.tripped
+    assert widest > 10
 
 
 def test_a_cover_of_many_members_needs_no_recursion():
